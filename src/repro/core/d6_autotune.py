@@ -132,7 +132,8 @@ def resolve_surrogate_model(
 ):
     """Resolve ``settings.surrogate`` into ``(model, notices)``.
 
-    ``off`` yields no model; a path loads a saved model JSON; ``auto``
+    ``off`` yields no model; a path loads a saved model JSON (a
+    ValueError if it was fit on another feature schema); ``auto``
     fits on the result-cache corpus of whichever cache the executor
     uses (the default cache directory otherwise). A missing or
     too-small corpus is not fatal: ``auto`` falls back to the pure
@@ -144,7 +145,9 @@ def resolve_surrogate_model(
     from repro.surrogate.model import SurrogateModel
 
     if settings.surrogate != "auto":
-        return SurrogateModel.load(settings.surrogate), []
+        model = SurrogateModel.load(settings.surrogate)
+        model.check_feature_schema()
+        return model, []
     cache = executor.cache if executor is not None else None
     corpus = load_corpus(cache.root if cache is not None else None)
     min_rows = max(1, settings.surrogate_min_rows)

@@ -26,18 +26,46 @@ trees pick splits by exact argmax with index tie-breaks, and
 ``repr``-based float serialization), so identical corpora produce
 bit-identical saved models -- property-pinned in
 ``tests/property/test_surrogate_properties.py``.
+
+Both hot loops run as a few numpy calls over whole arrays:
+
+* **Fit.** A split search scores every feature column of a node at
+  once (sorted prefix sums, the SSE of every candidate position, the
+  first maximum per column), then scans the per-column winners in
+  feature order. Each member's rows are sorted once per column, and
+  the root's candidate positions, the same in every round, are found
+  once; a deeper node narrows the sort to its own rows instead of
+  sorting again. Each round's training prediction comes from the row
+  partition the fit already built.
+* **Predict.** Constructing a :class:`SurrogateModel` compiles each
+  target's trees into flat node arrays (:class:`_FlatEnsemble`). The
+  arrays are derived state, never serialized and rebuilt on load;
+  building them refuses a tree feature index outside the model's
+  columns. Prediction walks all trees of a target level by level,
+  then adds each member's ``learning_rate * leaf`` terms onto its base
+  in tree order.
+
+Both give the same float sequence as a per-column split search and a
+recursive per-tree walk, which ``tests/differential/`` keeps as an
+oracle.
+
+The prefilter calls :meth:`SurrogateModel.predict` once per candidate
+(2-3 rows), not once per pool: the ridge product's BLAS mat-vec rounds
+differently with the number of rows, so a batched call would change
+the last bits of the predictions.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.surrogate.features import FEATURE_SCHEMA_VERSION, TARGET_NAMES
+from repro.surrogate.features import feature_names as current_feature_names
 
 #: Schema version of the saved-model JSON document.
 MODEL_SCHEMA_VERSION = 1
@@ -90,88 +118,137 @@ def _inverse(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _best_split_for_feature(
-    column: np.ndarray, y: np.ndarray, config: SurrogateConfig
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) of one feature via sorted prefix sums.
+@functools.lru_cache(maxsize=256)
+def _kept_ranks(count: int, max_thresholds: int) -> np.ndarray:
+    """Mask of the ranks an evenly strided subset of ``count`` keeps.
 
-    All split positions are evaluated vectorized in one pass; when a
-    column has more than ``max_thresholds`` distinct boundaries an
-    evenly strided subset is kept (deterministic). Returns None when no
-    split satisfies ``min_samples_leaf``.
+    Read-only: the cache hands the same array to every caller.
     """
-    n = y.size
-    order = np.argsort(column, kind="stable")
-    xs, ys = column[order], y[order]
-    # Candidate positions i split into left = [0, i), right = [i, n).
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1
+    keep = np.zeros(count, dtype=bool)
+    idx = np.linspace(0, count - 1, max_thresholds)
+    keep[np.unique(idx.round().astype(int))] = True
+    keep.flags.writeable = False
+    return keep
+
+
+def _split_layout(
+    X: np.ndarray, order: np.ndarray, config: SurrogateConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target-independent half of a node's split search.
+
+    ``order`` holds the node's rows sorted stably by each column (one
+    column of row indices into ``X`` per feature). Returns it with the
+    sorted feature values and the mask of candidate split positions:
+    row r of the (n - 1, features) mask is position i = r + 1, which
+    splits into left = [0, i), right = [i, n). A candidate sits between
+    two distinct values and leaves ``min_samples_leaf`` rows on each
+    side; a column with more than ``max_thresholds`` of them keeps an
+    evenly strided subset (deterministic).
+    """
+    n = order.shape[0]
+    xs = X[order, np.arange(X.shape[1])]
+    position = np.arange(1, n)
     leaf = config.min_samples_leaf
-    boundaries = boundaries[(boundaries >= leaf) & (boundaries <= n - leaf)]
-    if boundaries.size == 0:
-        return None
-    if boundaries.size > config.max_thresholds:
-        idx = np.linspace(0, boundaries.size - 1, config.max_thresholds)
-        boundaries = boundaries[np.unique(idx.round().astype(int))]
-    prefix = np.concatenate([[0.0], np.cumsum(ys)])
-    prefix_sq = np.concatenate([[0.0], np.cumsum(ys * ys)])
+    candidate = (xs[1:] > xs[:-1]) & (
+        (position >= leaf) & (position <= n - leaf)
+    )[:, None]
+    counts = candidate.sum(axis=0)
+    for count in sorted(set(counts[counts > config.max_thresholds].tolist())):
+        columns = np.nonzero(counts == count)[0]
+        rank = np.cumsum(candidate[:, columns], axis=0) - 1
+        candidate[:, columns] &= _kept_ranks(count, config.max_thresholds)[rank]
+    return order, xs, candidate
+
+
+def _best_split(
+    y: np.ndarray, layout: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[int, float] | None:
+    """Best (feature, threshold) of a node, or None when none qualifies.
+
+    Every column of the :func:`_split_layout` is scored in one pass
+    over sorted prefix sums: prefix sums of ``y`` and ``y**2``, the SSE
+    of every candidate position, and the first maximum per column
+    (lowest threshold wins ties). A split must gain more than 1e-12.
+    """
+    order, xs, candidate = layout
+    n = order.shape[0]
+    ys = y[order]
+    prefix = np.cumsum(ys, axis=0)
+    prefix_sq = np.cumsum(ys * ys, axis=0)
     total, total_sq = prefix[-1], prefix_sq[-1]
-    left_n = boundaries.astype(float)
-    left_sum = prefix[boundaries]
-    left_sq = prefix_sq[boundaries]
+    left_n = np.arange(1.0, n)[:, None]
+    left_sum, left_sq = prefix[:-1], prefix_sq[:-1]
     sse = (
         left_sq
         - left_sum**2 / left_n
         + (total_sq - left_sq)
         - (total - left_sum) ** 2 / (n - left_n)
     )
-    base_sse = total_sq - total**2 / n
-    gains = base_sse - sse
-    pick = int(np.argmax(gains))  # first max: lowest threshold wins ties
-    if gains[pick] <= 1e-12:
+    # Scalar ``**`` is libm pow, which differs in the last bit from the
+    # array path's x*x for about 0.1% of inputs: keep it per column.
+    base_sse = np.array([t_sq - t**2 / n for t, t_sq in zip(total, total_sq)])
+    gains = np.where(candidate, base_sse - sse, -np.inf)
+    pick = gains.argmax(axis=0)  # first max: lowest threshold wins ties
+    top = gains[pick, np.arange(gains.shape[1])].tolist()
+
+    best = None  # (gain, feature)
+    for feature, gain in enumerate(top):
+        # Strictly-greater keeps the lowest feature index on gain ties
+        # -- deterministic.
+        if not gain <= 1e-12 and (best is None or gain > best[0] + 1e-12):
+            best = (gain, feature)
+    if best is None:
         return None
-    i = boundaries[pick]
-    return float(gains[pick]), float((xs[i - 1] + xs[i]) / 2.0)
+    feature = best[1]
+    i = int(pick[feature]) + 1
+    return feature, float((xs[i - 1, feature] + xs[i, feature]) / 2.0)
 
 
 def _fit_node(
-    X: np.ndarray, y: np.ndarray, depth: int, config: SurrogateConfig
+    X: np.ndarray,
+    y: np.ndarray,
+    rows: np.ndarray,
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+    depth: int,
+    config: SurrogateConfig,
+    fitted: np.ndarray,
 ) -> dict:
-    """Greedy variance-reduction split; exact argmax, index tie-breaks."""
-    node_value = float(y.mean()) if y.size else 0.0
-    if depth >= config.max_depth or y.size < 2 * config.min_samples_leaf:
-        return {"value": node_value}
-    if float(((y - y.mean()) ** 2).sum()) <= 1e-12:
-        return {"value": node_value}
+    """Greedy variance-reduction split; exact argmax, index tie-breaks.
 
-    best = None  # (gain, feature, threshold)
-    for feature in range(X.shape[1]):
-        found = _best_split_for_feature(X[:, feature], y, config)
-        # Strictly-greater keeps the lowest feature index on gain ties
-        # -- deterministic.
-        if found is not None and (best is None or found[0] > best[0] + 1e-12):
-            best = (found[0], feature, found[1])
-
+    The node holds ``rows`` (ascending indices into ``X`` and ``y``).
+    ``layout`` is the :func:`_split_layout` of this node or of an
+    ancestor; an ancestor's sort is narrowed to ``rows``, which keeps
+    their sorted order, so no node sorts again. Each leaf writes its
+    value into ``fitted`` at its rows: the tree's training prediction,
+    without a second walk.
+    """
+    node_y = y[rows]
+    mean = node_y.mean()
+    node_value = float(mean)
+    best = None
+    if not (
+        depth >= config.max_depth
+        or node_y.size < 2 * config.min_samples_leaf
+        or float(((node_y - mean) ** 2).sum()) <= 1e-12
+    ):
+        order = layout[0]
+        if order.shape[0] != rows.size:
+            inside = np.zeros(y.size, dtype=bool)
+            inside[rows] = True
+            order = order.T[inside[order.T]].reshape(order.shape[1], -1).T
+            layout = _split_layout(X, order, config)
+        best = _best_split(y, layout)
     if best is None:
+        fitted[rows] = node_value
         return {"value": node_value}
-    _, feature, threshold = best
-    mask = X[:, feature] <= threshold
+    feature, threshold = best
+    mask = X[rows, feature] <= threshold
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _fit_node(X[mask], y[mask], depth + 1, config),
-        "right": _fit_node(X[~mask], y[~mask], depth + 1, config),
+        "left": _fit_node(X, y, rows[mask], layout, depth + 1, config, fitted),
+        "right": _fit_node(X, y, rows[~mask], layout, depth + 1, config, fitted),
     }
-
-
-def _predict_node(node: dict, X: np.ndarray) -> np.ndarray:
-    """Vectorized prediction for one tree."""
-    if "value" in node:
-        return np.full(X.shape[0], node["value"])
-    out = np.empty(X.shape[0])
-    mask = X[:, node["feature"]] <= node["threshold"]
-    out[mask] = _predict_node(node["left"], X[mask])
-    out[~mask] = _predict_node(node["right"], X[~mask])
-    return out
 
 
 def _fit_boosted(
@@ -180,23 +257,103 @@ def _fit_boosted(
     """One gradient-boosted member (squared loss -> residual fitting)."""
     base = float(y.mean()) if y.size else 0.0
     prediction = np.full(y.shape, base)
+    rows = np.arange(y.size)
+    # The root holds every row in every round: sort and lay it out once.
+    root = _split_layout(X, np.argsort(X, axis=0, kind="stable"), config)
     trees: list[dict] = []
     for _ in range(config.n_rounds):
         residual = y - prediction
-        tree = _fit_node(X, residual, 0, config)
+        fitted = np.empty(y.shape)
+        tree = _fit_node(X, residual, rows, root, 0, config, fitted)
         if "value" in tree and abs(tree["value"]) < 1e-12:
             break  # residuals exhausted; further rounds are no-ops
         trees.append(tree)
-        prediction = prediction + config.learning_rate * _predict_node(tree, X)
+        prediction = prediction + config.learning_rate * fitted
     return {"base": base, "trees": trees}
 
 
-def _predict_boosted(member: dict, X: np.ndarray, learning_rate: float) -> np.ndarray:
-    """Vectorized prediction for one boosted member."""
-    out = np.full(X.shape[0], member["base"])
-    for tree in member["trees"]:
-        out = out + learning_rate * _predict_node(tree, X)
-    return out
+class _FlatEnsemble:
+    """One target's boosted members compiled into flat node arrays.
+
+    Node ``k`` tests ``Z[:, feature[k]] <= threshold[k]`` and moves to
+    ``left[k]`` or ``right[k]``; a leaf points to itself on both sides,
+    so ``depth`` gather-and-compare steps bring every tree of every
+    member to its leaf at once. A leaf's ``step`` is what it adds to its
+    member's running sum: ``learning_rate * value`` for a tree leaf, and
+    the member's ``base`` for the extra leaf that opens each member's
+    row of ``slots``. Node 0 pads the rows to a common length; its step
+    is never read.
+    """
+
+    def __init__(
+        self,
+        target: str,
+        members: list[dict],
+        n_features: int,
+        learning_rate: float,
+    ):
+        nodes: list[list] = []  # [feature, threshold, left, right, step]
+        self.depth = 0
+
+        def leaf(step: float) -> int:
+            nodes.append([0, 0.0, len(nodes), len(nodes), step])
+            return len(nodes) - 1
+
+        def add(node: dict, depth: int) -> int:
+            if "value" in node:
+                self.depth = max(self.depth, depth)
+                return leaf(learning_rate * float(node["value"]))
+            column = node["feature"]
+            if not isinstance(column, (int, np.integer)) or not (
+                0 <= column < n_features
+            ):
+                raise ValueError(
+                    f"target {target!r}: tree feature index {column!r} is "
+                    f"outside [0, {n_features}) for a {n_features}-feature model"
+                )
+            index = leaf(0.0)
+            nodes[index][:4] = [
+                int(column),
+                float(node["threshold"]),
+                add(node["left"], depth + 1),
+                add(node["right"], depth + 1),
+            ]
+            return index
+
+        leaf(0.0)  # node 0: padding
+        width = 1 + max((len(member["trees"]) for member in members), default=0)
+        self.slots = np.zeros((len(members), width), dtype=np.intp)
+        for m, member in enumerate(members):
+            self.slots[m, 0] = leaf(float(member["base"]))
+            for t, tree in enumerate(member["trees"], start=1):
+                self.slots[m, t] = add(tree, 0)
+        self.counts = np.array([len(member["trees"]) for member in members])
+        feature, threshold, left, right, step = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.step = np.array(step)
+
+    def member_sums(self, Z: np.ndarray) -> np.ndarray:
+        """Each member's ``base + lr * tree + ...`` per row: (rows, members).
+
+        ``np.add.accumulate`` adds the steps in tree order, and each
+        member is read at its own tree count: the same float sequence as
+        adding one tree at a time. With no splits at all, every row
+        gets the same sums and the result has one row.
+        """
+        rows = np.arange(Z.shape[0])[:, None]
+        node = self.slots.reshape(1, -1)
+        for _ in range(self.depth):
+            node = np.where(
+                Z[rows, self.feature[node]] <= self.threshold[node],
+                self.left[node],
+                self.right[node],
+            )
+        steps = self.step[node].reshape(node.shape[0], *self.slots.shape)
+        sums = np.add.accumulate(steps, axis=2)
+        return sums[:, np.arange(len(self.counts)), self.counts]
 
 
 @dataclass
@@ -221,6 +378,51 @@ class SurrogateModel:
     #: Per-target estimator: transform name, ridge weights (+ intercept
     #: as the last element), and the boosted ensemble members.
     targets: list[dict]
+    #: Per-target compiled ensembles (:class:`_FlatEnsemble`), built
+    #: from ``targets`` on construction (build a new model after editing
+    #: ``targets``) and never serialized.
+    _flat: list = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._flat = [
+            _FlatEnsemble(
+                spec.get("target", column),
+                spec["members"],
+                len(self.feature_names),
+                self.config.learning_rate,
+            )
+            for column, spec in enumerate(self.targets)
+        ]
+
+    def check_feature_schema(self) -> None:
+        """Raise ValueError unless the model fits today's feature rows.
+
+        A saved model predicts correctly only on rows encoded the way
+        its training rows were: the current
+        :data:`~repro.surrogate.features.FEATURE_SCHEMA_VERSION` and
+        :func:`~repro.surrogate.features.feature_names`, in order.
+        """
+        if self.feature_schema_version != FEATURE_SCHEMA_VERSION:
+            raise ValueError(
+                f"model feature schema v{self.feature_schema_version} does not "
+                f"match the current v{FEATURE_SCHEMA_VERSION}; refit the model"
+            )
+        current = current_feature_names()
+        if tuple(self.feature_names) != current:
+            mismatch = next(
+                (
+                    f"column {i} is {ours!r}, current is {theirs!r}"
+                    for i, (ours, theirs) in enumerate(
+                        zip(self.feature_names, current)
+                    )
+                    if ours != theirs
+                ),
+                f"{len(self.feature_names)} columns, current has {len(current)}",
+            )
+            raise ValueError(
+                f"model feature names do not match the current schema "
+                f"({mismatch}); refit the model"
+            )
 
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         """Apply the training-time feature standardization."""
@@ -248,14 +450,11 @@ class SurrogateModel:
         Z1 = np.hstack([Z, np.ones((Z.shape[0], 1))])
         means = np.empty((X.shape[0], len(self.targets)))
         stds = np.empty_like(means)
-        for column, spec in enumerate(self.targets):
+        for column, (spec, flat) in enumerate(zip(self.targets, self._flat)):
             ridge = Z1 @ np.asarray(spec["ridge"])
+            sums = flat.member_sums(Z)
             member_preds = np.stack(
-                [
-                    ridge
-                    + _predict_boosted(member, Z, self.config.learning_rate)
-                    for member in spec["members"]
-                ]
+                [ridge + sums[:, member] for member in range(sums.shape[1])]
             )
             mu = member_preds.mean(axis=0)
             sigma = member_preds.std(axis=0)

@@ -376,6 +376,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         get_fault_plan(args.faults)  # fail fast on typos, with the options list
         settings.fault_class = args.faults
     settings.surrogate = args.surrogate
+    if settings.surrogate not in ("auto", "off"):
+        _load_surrogate_model(settings.surrogate)  # fail fast, clean message
     if args.verify_top_k is not None:
         settings.verify_top_k = args.verify_top_k
     slo = resolve_slo(args.slo)
@@ -581,11 +583,22 @@ def _cmd_d9(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_surrogate_model(path: str):
+    """A saved surrogate model fit on the current feature schema, or exit 1."""
+    from repro.surrogate import SurrogateModel
+
+    try:
+        model = SurrogateModel.load(path)
+        model.check_feature_schema()
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"surrogate model {path}: {exc}") from None
+    return model
+
+
 def _cmd_surrogate(args: argparse.Namespace) -> int:
     from repro.core.report import render_table
     from repro.surrogate import (
         MIN_CORPUS_ROWS,
-        SurrogateModel,
         evaluate_model,
         fit_from_corpus,
         holdout_split,
@@ -619,7 +632,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
 
     if args.action == "eval":
         if args.model:
-            model = SurrogateModel.load(args.model)
+            model = _load_surrogate_model(args.model)
             print(f"loaded model: {args.model} ({model.n_rows} training rows)")
             print(_fit_metrics_table(model, corpus, "corpus target"))
             return 0
@@ -645,7 +658,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
         f"({len(corpus.feature_names)} features)"
     )
     if args.model:
-        model = SurrogateModel.load(args.model)
+        model = _load_surrogate_model(args.model)
         config = model.config
         print(
             f"model: {args.model} rows={model.n_rows} "

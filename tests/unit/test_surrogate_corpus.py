@@ -10,6 +10,7 @@ with an explicit notice instead of fitting on noise.
 
 import gzip
 import pickle
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -25,7 +26,7 @@ from repro.surrogate.corpus import (
     load_corpus,
     read_entry,
 )
-from repro.surrogate.features import scenario_cgroups
+from repro.surrogate.features import FEATURE_SCHEMA_VERSION, scenario_cgroups
 from repro.workloads.spec import JobSpec
 
 
@@ -180,3 +181,36 @@ class TestAutoFallback:
         np.testing.assert_array_equal(
             loaded.predict(X)[0], model.predict(X)[0]
         )
+
+    def test_saved_model_for_another_feature_schema_is_refused(self, tmp_path, pair):
+        from repro.surrogate.filter import fit_from_corpus
+        from repro.surrogate.model import SurrogateConfig, SurrogateModel
+        from repro.tools.cli import main
+
+        cache = seed_cache(tmp_path, pair, n=20)
+        corpus = load_corpus(cache.root)
+        doc = fit_from_corpus(
+            corpus, config=SurrogateConfig(n_members=2, n_rounds=5)
+        ).to_json_dict()
+        renamed = list(doc["feature_names"])
+        renamed[0], renamed[1] = renamed[1], renamed[0]
+        cases = {
+            "feature schema v": {
+                "feature_schema_version": FEATURE_SCHEMA_VERSION + 1
+            },
+            re.escape(f"column 0 is {renamed[0]!r}"): {"feature_names": renamed},
+        }
+        for message, edit in cases.items():
+            path = tmp_path / "model.json"
+            SurrogateModel.from_json_dict({**doc, **edit}).save(path)
+            settings = mini_settings()
+            settings.surrogate = str(path)
+            with pytest.raises(ValueError, match=message):
+                resolve_surrogate_model(settings, None)
+            for argv in (
+                ["tune", "--mini", f"--surrogate={path}"],
+                ["surrogate", "eval", "--model", str(path)],
+                ["surrogate", "report", "--model", str(path)],
+            ):
+                with pytest.raises(SystemExit, match=message):
+                    main(argv + ["--cache-dir", str(cache.root)])

@@ -89,6 +89,17 @@ class TestDeterminismAndSerialization:
     def test_schema_version_is_pinned(self):
         assert MODEL_SCHEMA_VERSION == 1
 
+    def test_out_of_range_feature_index_is_refused(self):
+        # Index -1 would otherwise read the last column without complaint.
+        X, y = training_set(64)
+        doc = fit_surrogate(X, y, NAMES, seed=7, config=FAST).to_json_dict()
+        root = doc["targets"][0]["members"][0]["trees"][0]
+        assert "feature" in root
+        for bad in (-1, len(NAMES)):
+            root["feature"] = bad
+            with pytest.raises(ValueError, match=f"feature index {bad} is outside"):
+                SurrogateModel.from_json_dict(doc)
+
 
 class TestUncertainty:
     def test_uncertainty_shrinks_with_training_rows(self):
