@@ -19,6 +19,8 @@ Table I pipeline and the figure modules build lists of independent
 * captures a failing scenario as a structured :class:`SweepError`
   (exception repr + full worker traceback text) without killing the
   rest of the sweep;
+* drops a pool that a dead worker broke once the sweep has collected
+  its errors, so the next sweep on the same executor starts a fresh one;
 * reports ``k/n done, m cached, events/sec aggregate`` progress (plus
   worker-pool utilization: busy vs idle worker-seconds) after every
   completion through an optional callback.
@@ -35,6 +37,7 @@ import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -365,12 +368,14 @@ class SweepExecutor:
                 pool.submit(_run_in_worker, scenarios[index]): index
                 for index in to_run
             }
+            broken = False
             while pending:
                 finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
                     index = pending.pop(future)
                     exc = future.exception()
                     if exc is not None:
+                        broken = broken or isinstance(exc, BrokenProcessPool)
                         # Pool-level failure (e.g. the scenario did not
                         # pickle, or the worker died): same structured
                         # reporting as an in-scenario exception.
@@ -387,6 +392,10 @@ class SweepExecutor:
                     else:
                         payload = future.result()
                     record(index, payload)
+            if broken:
+                # A dead worker breaks its pool for good: drop it so the
+                # next sweep on this executor starts a fresh one.
+                self.close()
 
         self.stats.sweeps += 1
         self.stats.cached += cached

@@ -6,35 +6,28 @@ way to run millions of events in pure Python, and the I/O pipeline
 modelled here (submit -> throttle -> schedule -> device -> complete) maps
 naturally onto chained callbacks.
 
-Two interchangeable cores produce bit-identical simulations:
+The core is a calendar/slot wheel: plain-list event entries ordered by
+C-level list comparison, a ring of ``WHEEL_SLOTS`` rotating slots that
+buckets near-future events (far-future events wait in an overflow heap
+and migrate as the wheel turns), and a same-timestamp batch-pop inner
+loop that fires equal-time events without re-checking the stop
+condition between them.
 
-* the **batched** core (default): plain-list event entries ordered by
-  C-level tuple comparison, a calendar/slot-wheel front-end that buckets
-  near-future events into ``wheel_slots`` rotating slots (far-future
-  events wait in an overflow heap and migrate as the wheel turns), and a
-  same-timestamp batch-pop inner loop that fires equal-time events
-  without re-checking the stop condition between them;
-* the **legacy** core: the original single-``heappop`` loop over
-  ``_Event`` objects, kept as the differential-testing oracle behind
-  ``ISOLBENCH_ENGINE=legacy`` / ``EngineConfig(batching=False)``.
-
-Both cores preserve the exact (time, seq) total order — events scheduled
-for the same timestamp fire in FIFO scheduling order — and the O(1)
-cancellation accounting behind :meth:`Simulator.pending_events`, so every
-scenario summary is bit-identical across cores (``tests/differential/``
-asserts this end to end).
+It keeps the exact (time, seq) total order — events scheduled for the
+same timestamp fire in FIFO scheduling order — and O(1) cancellation
+accounting behind :meth:`Simulator.pending_events`. ``tests/differential/``
+holds a plain single-pop heap loop as a reference oracle and asserts
+bit-identical scenario summaries against it end to end.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterator
 
-# Batched-core entries are plain 4-item lists [time, seq, fn, consumed]:
-# heapq compares them with C-level list comparison (seq is unique, so fn
-# is never reached), which profiles ~1.8x faster than calling a Python
+# Entries are plain 4-item lists [time, seq, fn, consumed]: heapq
+# compares them with C-level list comparison (seq is unique, so fn is
+# never reached), which profiles ~1.8x faster than calling a Python
 # __lt__ per comparison. Index of the consumed/cancelled flag:
 _CANCELLED = 3
 
@@ -43,103 +36,49 @@ class SimulationError(RuntimeError):
     """Raised when the simulation is driven into an invalid state."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine-core selection and wheel geometry.
-
-    ``batching=True`` (the default) selects the slot-wheel batched core;
-    ``batching=False`` the legacy single-pop heap core. ``wheel_slots``
-    must be a power of two (slot lookup is a bit-mask); ``wheel_width_us``
-    is the simulated-time width of one slot, so the wheel covers a
-    ``wheel_slots * wheel_width_us`` horizon before events spill into the
-    overflow heap.
-    """
-
-    batching: bool = True
-    wheel_slots: int = 256
-    wheel_width_us: float = 4.0
-
-    @classmethod
-    def from_env(cls) -> "EngineConfig":
-        """Resolve the default config, honouring ``ISOLBENCH_ENGINE``.
-
-        ``ISOLBENCH_ENGINE=legacy`` selects the legacy single-pop core
-        (the differential-testing oracle); anything else — including
-        unset — selects the batched core. Spawned sweep workers inherit
-        the environment, so the selection survives process boundaries.
-        """
-        mode = os.environ.get("ISOLBENCH_ENGINE", "").strip().lower()
-        if mode == "legacy":
-            return cls(batching=False)
-        return cls()
-
-
-class _Event:
-    """A scheduled callback (legacy-core handle).
-
-    Cancellation is implemented with a flag rather than heap removal:
-    removing from the middle of a heap is O(n), flipping a flag is O(1)
-    and cancelled events are simply skipped when popped. Fired events are
-    flagged cancelled too (consumed), which both makes cancel-after-fire
-    a no-op and lets the simulator keep an O(1) pending-event count as
-    ``stored - (cancelled_total - cancelled_popped)`` with zero extra
-    work in the fire path beyond the flag store.
-    """
-
-    __slots__ = ("time", "seq", "fn", "cancelled")
-
-    # Set as a class attribute on a per-simulator subclass (see
-    # _LegacySimulator.__init__) so the constructor stays four stores —
-    # event creation is the hottest allocation in the simulator.
-    sim: "Simulator"
-
-    def __init__(self, time: float, seq: int, fn: Callable[[], Any]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.cancelled = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Prevent this event from firing (no-op if already fired)."""
-        if not self.cancelled:
-            self.cancelled = True
-            self.sim._cancelled_total += 1
-
-    @property
-    def active(self) -> bool:
-        """True while the event is still pending (not fired, not cancelled)."""
-        return not self.cancelled
-
-
 class Simulator:
     """A discrete-event simulator with a microsecond clock.
 
     Events scheduled for the same timestamp fire in FIFO scheduling
-    order, which keeps runs deterministic. ``Simulator(config)`` is a
-    factory: it returns the batched or legacy core per ``config``
-    (default :meth:`EngineConfig.from_env`); both are subclasses, so
-    ``isinstance(sim, Simulator)`` holds either way.
+    order, which keeps runs deterministic. Handles returned by
+    :meth:`schedule` are opaque; cancel and query them through
+    :meth:`cancel` / :meth:`event_active`.
 
-    Event handles returned by :meth:`schedule` are core-specific opaque
-    objects — cancel and query them through the mode-agnostic
-    :meth:`cancel` / :meth:`event_active` methods.
+    Layout: time is divided into fixed-width slots numbered
+    ``slot(t) = int(t * (1 / width))``. The wheel stores the next
+    ``WHEEL_SLOTS`` slot numbers starting at ``_head`` in a ring of
+    plain lists (``slots[s & mask]``); anything at or beyond the horizon
+    waits in ``_overflow`` (a heap) and migrates into the ring as the
+    head advances. ``slot()`` is monotone in ``t`` and a pure function
+    of ``t`` alone — never of the current head — so equal timestamps
+    always share a slot and slot order equals time order, with no float
+    boundary corrections needed.
+
+    A slot is heapified only when it becomes the drain target (append is
+    O(1) until then); the drain loop then pops batches of equal-time
+    entries, re-checking the stop condition once per timestamp instead
+    of once per event.
+
+    The geometry is fixed per class: ``WHEEL_SLOTS`` must be a power of
+    two (slot lookup is a bit-mask) and ``WHEEL_WIDTH_US`` is the
+    simulated-time width of one slot, so the wheel covers a
+    ``WHEEL_SLOTS * WHEEL_WIDTH_US`` horizon before events spill into
+    the overflow heap. Tests subclass to exercise other geometries.
     """
 
-    def __new__(cls, config: "EngineConfig | None" = None):
-        if cls is Simulator:
-            cfg = config if config is not None else EngineConfig.from_env()
-            return object.__new__(
-                _BatchedSimulator if cfg.batching else _LegacySimulator
-            )
-        return object.__new__(cls)
+    WHEEL_SLOTS = 256
+    WHEEL_WIDTH_US = 4.0
 
-    def __init__(self, config: "EngineConfig | None" = None) -> None:
-        self.config = config if config is not None else EngineConfig.from_env()
+    def __init__(self) -> None:
+        nslots = self.WHEEL_SLOTS
+        if nslots < 2 or nslots & (nslots - 1):
+            raise SimulationError(
+                f"WHEEL_SLOTS must be a power of two >= 2, got {nslots}"
+            )
+        if not (self.WHEEL_WIDTH_US > 0.0):
+            raise SimulationError(
+                f"WHEEL_WIDTH_US must be positive, got {self.WHEEL_WIDTH_US}"
+            )
         # Current simulated time in microseconds. A plain attribute, not
         # a property: it is read on every schedule/accounting step across
         # the stack, and a descriptor call there is measurable. Clients
@@ -152,255 +91,18 @@ class Simulator:
         # arithmetic with zero per-fire cost.
         self._cancelled_total = 0
         self._cancelled_popped = 0
-
-    # -- shared, core-agnostic surface ---------------------------------
-    @property
-    def mode(self) -> str:
-        """``"batched"`` or ``"legacy"`` — which core this simulator runs."""
-        return "batched" if self.config.batching else "legacy"
-
-    def schedule_at(self, time_us: float, fn: Callable[[], Any]) -> Any:
-        """Schedule ``fn`` at an absolute simulated time."""
-        return self.schedule(time_us - self.now, fn)
-
-    def cancel(self, event: Any) -> None:
-        """Prevent a scheduled event from firing (no-op if already fired).
-
-        Works on handles from either core; the preferred spelling for
-        all engine clients (the legacy ``handle.cancel()`` still works
-        in legacy mode only).
-        """
-        if event.__class__ is list:
-            if not event[_CANCELLED]:
-                event[_CANCELLED] = True
-                self._cancelled_total += 1
-        else:
-            event.cancel()
-
-    def event_active(self, event: Any) -> bool:
-        """True while the handle's event is pending (not fired/cancelled)."""
-        if event.__class__ is list:
-            return not event[_CANCELLED]
-        return event.active
-
-    # -- core-specific surface (overridden) ----------------------------
-    def schedule(self, delay_us: float, fn: Callable[[], Any]) -> Any:
-        """Schedule ``fn`` to run ``delay_us`` microseconds from now."""
-        raise NotImplementedError
-
-    def run_until(self, end_time_us: float) -> None:
-        """Run events until the clock reaches ``end_time_us``."""
-        raise NotImplementedError
-
-    def run(self) -> None:
-        """Run until no events remain."""
-        raise NotImplementedError
-
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        """:meth:`run_until` with per-event phase timing."""
-        raise NotImplementedError
-
-    def pending_events(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1))."""
-        raise NotImplementedError
-
-    def pending_entries(self) -> Iterator[tuple[float, int, bool]]:
-        """Debug view of stored entries as ``(time, seq, active)`` tuples.
-
-        Includes cancelled-but-not-yet-popped entries with ``active=False``
-        (their storage is reclaimed lazily by the run loop). Order is
-        unspecified. For tests and diagnostics only — O(n).
-        """
-        raise NotImplementedError
-
-
-class _LegacySimulator(Simulator):
-    """The original single-pop binary-heap core (differential oracle)."""
-
-    def __init__(self, config: "EngineConfig | None" = None) -> None:
-        super().__init__(config)
-        if self.config.batching:
-            self.config = EngineConfig(batching=False)
-        self._heap: list[_Event] = []
-        # Events reach their simulator through a class attribute rather
-        # than an instance slot: cancel() is rare, event construction is
-        # not, and this keeps the constructor as cheap as a plain event.
-        self._event_cls = type("_BoundEvent", (_Event,), {"sim": self, "__slots__": ()})
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events fired so far (useful for perf diagnostics).
-
-        Derived rather than counted: every scheduled event is either still
-        in the heap, was popped cancelled, or fired. Keeping this out of
-        the fire loop pays for the consumed-flag store, so the loop does
-        the same number of attribute stores per event as a loop with no
-        cancellation bookkeeping at all.
-        """
-        return self._seq - len(self._heap) - self._cancelled_popped
-
-    def schedule(self, delay_us: float, fn: Callable[[], Any]) -> _Event:
-        """Schedule ``fn`` to run ``delay_us`` microseconds from now.
-
-        Returns an event handle; :meth:`Simulator.cancel` prevents firing.
-        Negative delays are rejected: an event cannot fire in the past.
-        """
-        if delay_us < 0:
-            raise SimulationError(f"cannot schedule event {delay_us}us in the past")
-        event = self._event_cls(self.now + delay_us, self._seq, fn)
-        self._seq += 1
-        heappush(self._heap, event)
-        return event
-
-    def run_until(self, end_time_us: float) -> None:
-        """Run events until the clock reaches ``end_time_us``.
-
-        Events scheduled exactly at ``end_time_us`` are executed; the clock
-        finishes at ``end_time_us`` even if the heap drains earlier.
-        """
-        heap = self._heap
-        pop = heappop
-        while heap:
-            event = heap[0]
-            if event.time > end_time_us:
-                break
-            pop(heap)
-            if event.cancelled:
-                self._cancelled_popped += 1
-                continue
-            event.cancelled = True  # consumed: cancel() is now a no-op
-            self.now = event.time
-            event.fn()
-        self.now = max(self.now, end_time_us)
-
-    def run(self) -> None:
-        """Run until no events remain."""
-        heap = self._heap
-        pop = heappop
-        while heap:
-            event = pop(heap)
-            if event.cancelled:
-                self._cancelled_popped += 1
-                continue
-            event.cancelled = True  # consumed: cancel() is now a no-op
-            self.now = event.time
-            event.fn()
-
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        """:meth:`run_until` with per-event phase timing.
-
-        A separate method rather than a branch inside :meth:`run_until`
-        on purpose: the un-profiled loop must stay byte-for-byte the
-        seed hot path (``tests/unit/test_obs_overhead.py`` guards it).
-        Semantics are identical — same firing order, same cancellation
-        bookkeeping, same final clock — so a profiled run produces
-        bit-identical simulation results; it only additionally reads
-        the wall clock twice per event and attributes the callback's
-        time to its pipeline phase (see :mod:`repro.prof.phases`).
-        """
-        from time import perf_counter as perf
-
-        heap = self._heap
-        pop = heappop
-        phase_wall = profiler.phase_wall
-        phase_events = profiler.phase_events
-        cache = profiler._phase_cache
-        resolve = profiler.resolve_phase
-        bucket_us = profiler.bucket_us
-        heap_peak = len(heap)
-        loop_start = perf()
-        t_prev = loop_start
-        while heap:
-            event = heap[0]
-            if event.time > end_time_us:
-                break
-            if len(heap) > heap_peak:
-                heap_peak = len(heap)
-            pop(heap)
-            if event.cancelled:
-                self._cancelled_popped += 1
-                continue
-            event.cancelled = True  # consumed: cancel() is now a no-op
-            self.now = event.time
-            fn = event.fn
-            t0 = perf()
-            fn()
-            t1 = perf()
-            code = getattr(fn, "__code__", None)
-            phase = cache.get(code)
-            if phase is None:
-                phase = resolve(fn)
-            elapsed = t1 - t0
-            phase_wall[phase] = phase_wall.get(phase, 0.0) + elapsed
-            phase_events[phase] = phase_events.get(phase, 0) + 1
-            phase_wall["engine.pop"] += t0 - t_prev
-            t_prev = t1
-            if bucket_us:
-                profiler.bucket_add(event.time, phase, elapsed)
-        self.now = max(self.now, end_time_us)
-        loop_end = perf()
-        phase_wall["engine.pop"] += loop_end - t_prev
-        profiler.loop_wall_seconds += loop_end - loop_start
-        counters = profiler.counters
-        counters["events.heap_peak"] = max(
-            counters.get("events.heap_peak", 0.0), float(heap_peak)
-        )
-        profiler.note_engine(self)
-
-    def pending_events(self) -> int:
-        """Number of not-yet-fired, not-cancelled events (O(1))."""
-        return len(self._heap) - (self._cancelled_total - self._cancelled_popped)
-
-    def pending_entries(self) -> Iterator[tuple[float, int, bool]]:
-        """Debug view of heap entries as ``(time, seq, active)`` (O(n))."""
-        for event in self._heap:
-            yield (event.time, event.seq, not event.cancelled)
-
-
-class _BatchedSimulator(Simulator):
-    """Slot-wheel + batch-pop core, bit-identical to the legacy core.
-
-    Layout: time is divided into fixed-width slots numbered
-    ``slot(t) = int(t * (1 / width))``. The wheel stores the next
-    ``wheel_slots`` slot numbers starting at ``_head`` in a ring of
-    plain lists (``slots[s & mask]``); anything at or beyond the horizon
-    waits in ``_overflow`` (a heap) and migrates into the ring as the
-    head advances. ``slot()`` is monotone in ``t`` and a pure function
-    of ``t`` alone — never of the current head — so equal timestamps
-    always share a slot and slot order equals time order, with no float
-    boundary corrections needed.
-
-    A slot is heapified only when it becomes the drain target (append is
-    O(1) until then); the drain loop then pops batches of equal-time
-    entries, re-checking the stop condition once per timestamp instead
-    of once per event. Entries are [time, seq, fn, consumed] lists, so
-    ordering uses C-level list comparison (seq is unique; fn is never
-    compared).
-    """
-
-    def __init__(self, config: "EngineConfig | None" = None) -> None:
-        super().__init__(config)
-        nslots = self.config.wheel_slots
-        if nslots < 2 or nslots & (nslots - 1):
-            raise SimulationError(
-                f"wheel_slots must be a power of two >= 2, got {nslots}"
-            )
-        if not (self.config.wheel_width_us > 0.0):
-            raise SimulationError(
-                f"wheel_width_us must be positive, got {self.config.wheel_width_us}"
-            )
         self._nslots = nslots
         self._mask = nslots - 1
-        self._inv_width = 1.0 / self.config.wheel_width_us
+        self._inv_width = 1.0 / self.WHEEL_WIDTH_US
         self._slots: list[list] = [[] for _ in range(nslots)]
         self._overflow: list = []
         self._head = 0  # absolute slot number of the ring's drain slot
         # Entries physically stored (ring + overflow), including
-        # cancelled-but-unpopped ones. The batched analogue of the legacy
-        # core's len(_heap): decremented exactly when an entry is popped
-        # for disposal, *before* its callback runs, so events_processed
-        # and pending_events observe the same values mid-callback as the
-        # legacy core (the sampler snapshots them mid-run).
+        # cancelled-but-unpopped ones. Decremented exactly when an entry
+        # is popped for disposal, *before* its callback runs, so
+        # events_processed and pending_events already count the firing
+        # event as consumed while its callback runs (the sampler
+        # snapshots them mid-run).
         self._stored = 0
         # The slot currently being drained, if any: schedule() must
         # heappush into it (the drain loop peeks its min), while every
@@ -409,8 +111,27 @@ class _BatchedSimulator(Simulator):
 
     @property
     def events_processed(self) -> int:
-        """Number of events fired so far (useful for perf diagnostics)."""
+        """Number of events fired so far (useful for perf diagnostics).
+
+        Derived rather than counted: every scheduled event is either
+        still stored, was popped cancelled, or fired. Keeping this out
+        of the fire loop pays for the consumed-flag store.
+        """
         return self._seq - self._stored - self._cancelled_popped
+
+    def schedule_at(self, time_us: float, fn: Callable[[], Any]) -> list:
+        """Schedule ``fn`` at an absolute simulated time."""
+        return self.schedule(time_us - self.now, fn)
+
+    def cancel(self, event: list) -> None:
+        """Prevent a scheduled event from firing (no-op if already fired)."""
+        if not event[_CANCELLED]:
+            event[_CANCELLED] = True
+            self._cancelled_total += 1
+
+    def event_active(self, event: list) -> bool:
+        """True while the handle's event is pending (not fired/cancelled)."""
+        return not event[_CANCELLED]
 
     def schedule(self, delay_us: float, fn: Callable[[], Any]) -> list:
         """Schedule ``fn`` to run ``delay_us`` microseconds from now.
@@ -491,8 +212,8 @@ class _BatchedSimulator(Simulator):
         The inner batch loop fires every entry sharing one timestamp
         without re-checking the stop condition or re-storing the clock;
         entries scheduled *during* the batch for the same timestamp have
-        larger seq values and are picked up by the same loop, exactly
-        matching the legacy pop order.
+        larger seq values and are picked up by the same loop, so the
+        (time, seq) order stays exact.
         """
         slots = self._slots
         mask = self._mask
@@ -519,7 +240,8 @@ class _BatchedSimulator(Simulator):
                     else:
                         # The clock only moves for entries that fire:
                         # trailing cancelled entries must not drag it
-                        # forward (legacy-core parity).
+                        # forward, since run()'s final clock is
+                        # observable in summaries.
                         self.now = t
                         entry[3] = True  # consumed: cancel() is now a no-op
                         entry[2]()
@@ -543,14 +265,15 @@ class _BatchedSimulator(Simulator):
     def run_until_profiled(self, end_time_us: float, profiler) -> None:
         """:meth:`run_until` with per-event phase timing.
 
-        A separate method rather than a branch inside the hot loop, for
-        the same reason as the legacy core: the un-profiled loop stays
-        the guarded hot path. Firing order, cancellation bookkeeping and
-        the final clock are identical to :meth:`run_until`; the profiled
-        loop additionally reads the wall clock twice per event, charges
-        the callback to its phase and the gap to ``engine.pop``, and
-        tracks the stored-entry peak (the batched analogue of the legacy
-        heap peak).
+        A separate method rather than a branch inside the hot loop on
+        purpose: the un-profiled loop stays the guarded hot path
+        (``tests/unit/test_obs_overhead.py``). Firing order, cancellation
+        bookkeeping and the final clock are identical to
+        :meth:`run_until`, so a profiled run produces bit-identical
+        simulation results; the profiled loop additionally reads the
+        wall clock twice per event, charges the callback to its phase
+        (see :mod:`repro.prof.phases`) and the gap to ``engine.pop``, and
+        tracks the stored-entry peak.
         """
         from time import perf_counter as perf
 
@@ -594,9 +317,8 @@ class _BatchedSimulator(Simulator):
                     if entry[3]:
                         self._cancelled_popped += 1
                     else:
-                        # Clock moves only for firing entries (see
-                        # _run_core): legacy-core parity on trailing
-                        # cancelled events.
+                        # The clock only moves for entries that fire
+                        # (see _run_core).
                         self.now = t
                         entry[3] = True  # consumed: cancel() is now a no-op
                         fn = entry[2]
@@ -644,7 +366,12 @@ class _BatchedSimulator(Simulator):
         return self._stored - (self._cancelled_total - self._cancelled_popped)
 
     def pending_entries(self) -> Iterator[tuple[float, int, bool]]:
-        """Debug view of ring + overflow entries as ``(time, seq, active)``."""
+        """Debug view of ring + overflow entries as ``(time, seq, active)``.
+
+        Includes cancelled-but-not-yet-popped entries with ``active=False``
+        (their storage is reclaimed lazily by the run loop). Order is
+        unspecified. For tests and diagnostics only — O(n).
+        """
         for slot in self._slots:
             for entry in slot:
                 yield (entry[0], entry[1], not entry[3])

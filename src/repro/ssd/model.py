@@ -19,15 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as _np
+
 from repro.iorequest import GIB, OpType, Pattern
-
-try:  # numpy accelerates batch cost evaluation; the scalar path is complete.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
-
-#: True when the vectorized batch-cost path is available.
-HAVE_NUMPY = _np is not None
 
 
 @dataclass(frozen=True)
@@ -127,13 +121,12 @@ class SsdModel:
         element-wise as the scalar methods, so every returned float is
         bit-identical to ``fixed_cost_us`` / ``bus_cost_us`` — callers
         (and the differential suite) may memoize either path
-        interchangeably. Single-element batches and numpy-less installs
-        take the scalar fallback.
+        interchangeably. Single-element batches take the scalar path.
         """
         n = len(sizes)
         if len(ops) != n or len(patterns) != n:
             raise ValueError("batch_costs inputs must have equal length")
-        if _np is None or n < 2:
+        if n < 2:
             fixed = [self.fixed_cost_us(op, pat) for op, pat in zip(ops, patterns)]
             bus = [self.bus_cost_us(op, size) for op, size in zip(ops, sizes)]
             segments = [max(1, -(-size // self.bus_segment_bytes)) for size in sizes]

@@ -24,8 +24,7 @@ summaries content-addressed under ``.isolbench-cache/`` (see
 :mod:`repro.exec`); a re-run with unchanged scenarios executes nothing.
 All output is plain text; heavy lifting lives in :mod:`repro.core`.
 Every workload-running subcommand ends with a uniform machine-parseable
-footer: ``perf: events=<n> elapsed=<s>s events/sec=<r> engine=<mode>``
-(``mode`` is ``batched`` or ``legacy`` per ``ISOLBENCH_ENGINE``).
+footer: ``perf: events=<n> elapsed=<s>s events/sec=<r> engine=batched``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.core.config import (
 )
 from repro.core.runner import run_scenario
 from repro.faults import FAULT_CLASSES, get_fault_plan
-from repro.sim.engine import EngineConfig
 from repro.obs import (
     TraceConfig,
     write_chrome_trace,
@@ -95,10 +93,9 @@ def _perf_line(events: int | float, elapsed: float) -> str:
     """The uniform machine-parseable perf footer every subcommand prints."""
     events = int(events)
     rate = events / elapsed if elapsed > 0 else 0.0
-    mode = "batched" if EngineConfig.from_env().batching else "legacy"
     return (
         f"perf: events={events} elapsed={elapsed:.3f}s "
-        f"events/sec={rate:.0f} engine={mode}"
+        f"events/sec={rate:.0f} engine=batched"
     )
 
 

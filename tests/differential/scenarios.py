@@ -1,11 +1,12 @@
 """Mini D1-D6 scenarios for the engine differential suite.
 
 One representative scenario per desideratum, each cheap enough that the
-whole suite runs both engine cores in seconds. The shapes deliberately
-cover every scheduler/throttle path (io.cost, BFQ, io.latency, io.max,
-MQ-DL + faults, tuned-QoS io.cost), both workload drive modes
-(closed-loop refill and open-loop Poisson arrivals, including the
-macro-tick batching mode), and the profiled event loop.
+whole suite runs every mini on the slot wheel and on the test-local heap
+oracle (``tests/differential/oracle.py``) in seconds. The shapes
+deliberately cover every scheduler/throttle path (io.cost, BFQ,
+io.latency, io.max, MQ-DL + faults, tuned-QoS io.cost), both workload
+drive modes (closed-loop refill and open-loop Poisson arrivals,
+including the macro-tick batching mode), and the profiled event loop.
 
 Module-level so the 2-worker spawn test can pickle builder references.
 """
@@ -50,7 +51,7 @@ def d1_mini() -> Scenario:
     """D1 overhead shape: saturating batch apps, io.cost not controlling.
 
     The self-profiler is on, so this mini drives ``run_until_profiled``
-    through both cores.
+    on the wheel and on the oracle.
     """
     ssd = samsung_980pro_like()
     apps = batch_scaling_specs(2, queue_depth=32)

@@ -1,12 +1,13 @@
-"""Engine differential suite: legacy single-pop core vs batched wheel.
+"""Engine differential suite: slot wheel vs the test-local heap oracle.
 
-Every D1-D6 mini scenario runs through both engine cores
-(``ISOLBENCH_ENGINE=legacy`` vs the default batched slot-wheel) and the
+Every D1-D6 mini scenario runs twice: once on the engine as shipped
+(the slot wheel) and once with :class:`~tests.differential.oracle.HeapSimulator`
+substituted at the ``Host`` seam (``repro.core.host.Simulator``). The
 resulting :class:`~repro.exec.summary.ScenarioSummary` documents must be
 **bit-identical** — same JSON text, not approximately equal. The same
 bar is held across process boundaries: a 2-worker spawned
 :class:`~repro.exec.executor.SweepExecutor` must reproduce the serial
-summaries exactly under either engine.
+summaries exactly.
 
 Run just this suite with::
 
@@ -16,14 +17,13 @@ Run just this suite with::
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.exec.executor import SweepExecutor
 from repro.exec.summary import run_scenario_summary
-from repro.sim.engine import EngineConfig, Simulator
 
+from tests.differential.oracle import HeapSimulator
 from tests.differential.scenarios import MINI_BUILDERS
 
 CASES = sorted(MINI_BUILDERS)
@@ -35,86 +35,40 @@ def _summary_json(scenario) -> str:
     return json.dumps(summary.content_dict(), sort_keys=True)
 
 
-@pytest.fixture()
-def engine_env(monkeypatch):
-    """Callable that pins the engine core for this process and spawns."""
-
-    def select(mode: str):
-        if mode == "legacy":
-            monkeypatch.setenv("ISOLBENCH_ENGINE", "legacy")
-        else:
-            monkeypatch.delenv("ISOLBENCH_ENGINE", raising=False)
-
-    return select
-
-
-class TestFactorySelection:
-    def test_env_selects_legacy(self, engine_env):
-        engine_env("legacy")
-        assert Simulator().mode == "legacy"
-
-    def test_default_is_batched(self, engine_env):
-        engine_env("batched")
-        assert Simulator().mode == "batched"
-
-    def test_explicit_config_overrides_env(self, engine_env):
-        engine_env("legacy")
-        assert Simulator(EngineConfig(batching=True)).mode == "batched"
-
-
 class TestSerialDifferential:
-    """Each mini, both cores, one process: identical summary JSON."""
+    """Each mini, wheel and oracle, one process: identical summary JSON."""
 
     @pytest.mark.parametrize("case", CASES)
-    def test_bit_identical(self, case, engine_env):
+    def test_bit_identical(self, case, monkeypatch):
         build = MINI_BUILDERS[case]
-        engine_env("batched")
-        batched = _summary_json(build())
-        engine_env("legacy")
-        legacy = _summary_json(build())
-        assert batched == legacy, f"{case}: batched and legacy cores diverge"
+        wheel = _summary_json(build())
+
+        built: list[HeapSimulator] = []
+
+        class RecordingHeap(HeapSimulator):
+            def __init__(self) -> None:
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr("repro.core.host.Simulator", RecordingHeap)
+        oracle = _summary_json(build())
+        # The comparison only means something if the seam substituted.
+        assert built, f"{case}: the oracle never built a host"
+        assert sum(sim.events_processed for sim in built) > 0
+        assert wheel == oracle, f"{case}: wheel and heap oracle diverge"
 
 
 class TestSpawnDifferential:
-    """2-worker spawned sweeps reproduce the serial summaries exactly.
+    """A 2-worker spawned sweep reproduces the serial summaries exactly."""
 
-    One sweep per engine core; workers inherit ``ISOLBENCH_ENGINE``
-    through the spawn environment, so each sweep runs entirely on the
-    core under test. Cross-checking the two sweeps against each other
-    also re-proves the serial bar across processes.
-    """
-
-    def _sweep(self) -> list[str]:
+    def test_spawned_sweeps_match_serial_and_each_other(self):
         scenarios = [MINI_BUILDERS[case]() for case in CASES]
         with SweepExecutor(max_workers=2) as pool:
             summaries = pool.run_strict(scenarios)
             assert pool.stats.executed > 0
-        return [
+        spawned = [
             json.dumps(summary.content_dict(), sort_keys=True)
             for summary in summaries
         ]
-
-    def test_spawned_sweeps_match_serial_and_each_other(self, engine_env):
-        engine_env("batched")
-        spawned_batched = self._sweep()
-        serial_batched = [_summary_json(MINI_BUILDERS[c]()) for c in CASES]
-        assert spawned_batched == serial_batched
-
-        engine_env("legacy")
-        spawned_legacy = self._sweep()
-        assert spawned_legacy == spawned_batched
-
-
-@pytest.mark.skipif(
-    "ISOLBENCH_ENGINE" in os.environ
-    and os.environ["ISOLBENCH_ENGINE"].strip().lower() == "legacy",
-    reason="meaningless when the whole test run is already pinned to legacy",
-)
-def test_suite_covers_both_cores(engine_env):
-    """The suite's premise: the two selectable cores are distinct types."""
-    engine_env("batched")
-    batched = Simulator()
-    engine_env("legacy")
-    legacy = Simulator()
-    assert type(batched) is not type(legacy)
-    assert isinstance(batched, Simulator) and isinstance(legacy, Simulator)
+        serial = [_summary_json(MINI_BUILDERS[case]()) for case in CASES]
+        assert spawned == serial

@@ -7,20 +7,25 @@ The headline guarantees:
   determinism), in submission order;
 * a raising scenario becomes a SweepError carrying the worker's
   traceback text while the rest of the sweep completes;
+* a worker that dies outright costs its sweep a SweepError, and the
+  executor's next sweep runs on a fresh pool;
 * a poisoned cache entry is a miss (recompute), never a crash;
 * a warm cache executes zero scenarios;
 * content-identical scenarios within one sweep execute once, with the
   result fanned back to every submission slot.
 """
 
+import dataclasses
 import gzip
+import os
 import pickle
 
 import pytest
 
-from repro.core.config import MqDeadlineKnob, NoneKnob, Scenario
+from repro.core.config import KnobConfig, MqDeadlineKnob, NoneKnob, Scenario
 from repro.exec import (
     ResultCache,
+    ScenarioSummary,
     SweepError,
     SweepExecutor,
     SweepFailure,
@@ -57,6 +62,17 @@ def raising_scenario(name: str = "boom") -> Scenario:
         duration_s=0.05,
         warmup_s=0.01,
     )
+
+
+class CrashKnob(KnobConfig):
+    """Kills the whole worker process while the host configures it.
+
+    Module-level so spawned workers can unpickle it. Never run it on a
+    serial executor: it would take the test process down with it.
+    """
+
+    def configure(self, hierarchy, device_ids) -> None:
+        os._exit(1)
 
 
 class TestDeterminismAcrossProcesses:
@@ -110,6 +126,23 @@ class TestErrorCapture:
                 pool.run_strict([raising_scenario()])
         assert excinfo.value.error.scenario_name == "boom"
         assert "InvalidKnobValue" in str(excinfo.value)
+
+
+class TestBrokenPool:
+    def test_crashed_worker_does_not_break_later_sweeps(self):
+        crash = dataclasses.replace(tiny_scenario("crash"), knob=CrashKnob())
+        later = [tiny_scenario(f"after-crash-{i}", seed=200 + i) for i in range(2)]
+        serial = SweepExecutor(max_workers=1).run_strict(later)
+        with SweepExecutor(max_workers=2) as pool:
+            # Whether the innocent scenario survives the crash depends
+            # on timing, so only the crashing slot is asserted.
+            results = pool.run([crash, tiny_scenario("innocent")])
+            assert isinstance(results[0], SweepError)
+            assert "BrokenProcessPool" in results[0].error
+            after = pool.run(later)
+        for ours, theirs in zip(after, serial):
+            assert isinstance(ours, ScenarioSummary), ours
+            assert ours.content_equal(theirs)
 
 
 class TestCaching:

@@ -214,6 +214,49 @@ class TestO6SchedulersTradeoffs:
         assert max(metrics) - min(metrics) < 0.3 * max(metrics) + 1e-9
 
 
+def _target_us(point) -> float:
+    """The io.latency target of a sweep point, from its ``target=<n>us`` label."""
+    return float(point.config_label.removeprefix("target=").removesuffix("us"))
+
+
+class TestO7IoLatencyTradeoffs:
+    """io.latency throttles BE apps by queue depth, blind to request size
+    and direction: it protects an LC app from 4 KiB random reads, but
+    256 KiB reads or writes keep hurting it at any target."""
+
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        # Loose and tight target per BE variant. The O6/O8 sizing of
+        # 0.3 s never reaches a 500 ms io.latency window, so every target
+        # would measure the same p99. Each variant is judged against its
+        # own loose point: at this scale the unprotected 256 KiB baseline
+        # completes no LC I/O at all.
+        return {
+            variant: sweep_knob(
+                "io.latency",
+                "lc",
+                be_variant=variant,
+                device_scale=24.0,
+                duration_s=5.0,
+                warmup_s=1.75,
+                sweep_points=2,
+                baseline_p99_us=1300.0,
+            )
+            for variant in ("rand-4k", "rand-256k", "rand-4k-write")
+        }
+
+    def test_tight_target_buys_lc_latency_with_bandwidth(self, sweeps):
+        tight, loose = sorted(sweeps["rand-4k"], key=_target_us)
+        assert tight.priority_metric < loose.priority_metric / 3
+        assert tight.aggregate_gib_s < 0.6 * loose.aggregate_gib_s
+
+    @pytest.mark.parametrize("variant", ["rand-256k", "rand-4k-write"])
+    def test_large_or_write_be_apps_defeat_any_target(self, sweeps, variant):
+        tight, loose = sorted(sweeps[variant], key=_target_us)
+        assert tight.priority_metric == pytest.approx(loose.priority_metric, rel=0.1)
+        assert tight.priority_metric > 10 * _target_us(tight)
+
+
 class TestO8IoMaxTradeoffs:
     def test_iomax_has_a_real_tradeoff_curve(self, batch_baseline):
         points = sweep_knob("io.max", "batch", duration_s=0.3, warmup_s=0.1)

@@ -1,12 +1,13 @@
 """Property tests (hypothesis) for the slot-wheel engine core.
 
-The wheel's contract against the legacy heap core: exact (time, seq)
-total order — FIFO among equal timestamps — cancel-before-fire removes
-an event, cancel-after-fire is a no-op, ``pending_events()`` is exact
-under any interleaving of schedule/cancel/run, and a random event
-stream fires in the identical order on both cores. Delays are drawn to
+The wheel's contract against the test-local heap oracle
+(``tests/differential/oracle.py``): exact (time, seq) total order —
+FIFO among equal timestamps — cancel-before-fire removes an event,
+cancel-after-fire is a no-op, ``pending_events()`` is exact under any
+interleaving of schedule/cancel/run, and a random event stream fires in
+the identical order on the wheel and the oracle. Delays are drawn to
 hit the wheel's boundaries on purpose: slot-width multiples, the wheel
-horizon (``wheel_slots * wheel_width_us``), zero delays, and far-future
+horizon (``WHEEL_SLOTS * WHEEL_WIDTH_US``), zero delays, and far-future
 overflow-heap spills.
 """
 
@@ -15,15 +16,20 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import EngineConfig, Simulator
+from repro.sim.engine import Simulator
 
-BATCHED = EngineConfig(batching=True)
-LEGACY = EngineConfig(batching=False)
-#: A deliberately tiny wheel so short streams still exercise slot wrap
-#: and overflow-heap migration.
-TINY_WHEEL = EngineConfig(batching=True, wheel_slots=8, wheel_width_us=2.0)
+from tests.differential.oracle import HeapSimulator
 
-CONFIGS = [BATCHED, TINY_WHEEL]
+
+class _TinyWheel(Simulator):
+    """A deliberately tiny wheel so short streams still exercise slot
+    wrap and overflow-heap migration."""
+
+    WHEEL_SLOTS = 8
+    WHEEL_WIDTH_US = 2.0
+
+
+WHEELS = [Simulator, _TinyWheel]
 
 #: Delays biased toward wheel boundaries: slot edges, the horizon of
 #: both geometries (1024 us default, 16 us tiny), and the overflow range.
@@ -86,8 +92,8 @@ class TestFifoEqualTimestamps:
     @settings(max_examples=60)
     def test_equal_timestamps_fire_in_schedule_order(self, groups):
         """Events at one timestamp fire in the order they were scheduled."""
-        for config in CONFIGS:
-            sim = Simulator(config)
+        for wheel in WHEELS:
+            sim = wheel()
             fired: list[int] = []
             for i, group in enumerate(groups):
                 # Many events collapse onto few distinct timestamps.
@@ -96,14 +102,14 @@ class TestFifoEqualTimestamps:
             by_time = sorted(
                 range(len(groups)), key=lambda i: (float(groups[i]), i)
             )
-            assert fired == by_time, config
+            assert fired == by_time, wheel
 
     @given(st.integers(min_value=2, max_value=50))
     @settings(max_examples=30)
     def test_same_tick_batch_preserves_nested_schedules(self, n):
         """Zero-delay events scheduled *during* a tick still run FIFO."""
-        for config in CONFIGS:
-            sim = Simulator(config)
+        for wheel in WHEELS:
+            sim = wheel()
             fired: list[str] = []
 
             def spawn(i: int) -> None:
@@ -116,15 +122,15 @@ class TestFifoEqualTimestamps:
             expected = [f"parent{i}" for i in range(n)] + [
                 f"child{i}" for i in range(n)
             ]
-            assert fired == expected, config
+            assert fired == expected, wheel
 
 
 class TestCancelSemantics:
     @given(delay_strategy)
     @settings(max_examples=60)
     def test_cancel_before_fire_suppresses(self, delay):
-        for config in CONFIGS:
-            sim = Simulator(config)
+        for wheel in WHEELS:
+            sim = wheel()
             fired: list[int] = []
             handle = sim.schedule(delay, lambda: fired.append(1))
             assert sim.event_active(handle)
@@ -138,8 +144,8 @@ class TestCancelSemantics:
     @given(delay_strategy)
     @settings(max_examples=60)
     def test_cancel_after_fire_is_noop(self, delay):
-        for config in CONFIGS:
-            sim = Simulator(config)
+        for wheel in WHEELS:
+            sim = wheel()
             fired: list[int] = []
             handle = sim.schedule(delay, lambda: fired.append(1))
             sim.run()
@@ -152,8 +158,8 @@ class TestCancelSemantics:
     @given(delay_strategy)
     @settings(max_examples=40)
     def test_double_cancel_counts_once(self, delay):
-        for config in CONFIGS:
-            sim = Simulator(config)
+        for wheel in WHEELS:
+            sim = wheel()
             handle = sim.schedule(delay, lambda: None)
             sim.cancel(handle)
             sim.cancel(handle)
@@ -167,15 +173,15 @@ class TestPendingEventsExactness:
     @settings(max_examples=60)
     def test_pending_exact_under_interleaving(self, ops):
         """pending_events() is exact after every schedule/cancel/run step."""
-        for config in CONFIGS:
-            _drive(Simulator(config), ops)  # asserts at every step
+        for wheel in WHEELS:
+            _drive(wheel(), ops)  # asserts at every step
 
     @given(ops_strategy)
     @settings(max_examples=40)
     def test_pending_matches_entry_scan(self, ops):
         """O(1) counter == O(n) active-entry scan, mid-stream."""
-        for config in CONFIGS:
-            sim = Simulator(config)
+        for wheel in WHEELS:
+            sim = wheel()
             for op, arg in ops:
                 if op == "schedule":
                     sim.schedule(arg, lambda: None)
@@ -194,12 +200,12 @@ class TestHeapWheelEquivalence:
         """The wheel is a drop-in for the heap: same fired ids, same order,
         same final clock and processed-event count."""
         results = []
-        for config in (BATCHED, TINY_WHEEL, LEGACY):
-            sim = Simulator(config)
+        for make_sim in (Simulator, _TinyWheel, HeapSimulator):
+            sim = make_sim()
             fired, _ = _drive(sim, ops)
             results.append((fired, sim.now, sim.events_processed))
-        assert results[0] == results[2], "batched vs legacy diverge"
-        assert results[1] == results[2], "tiny wheel vs legacy diverge"
+        assert results[0] == results[2], "wheel vs heap oracle diverge"
+        assert results[1] == results[2], "tiny wheel vs heap oracle diverge"
 
     @given(
         st.lists(
@@ -210,10 +216,10 @@ class TestHeapWheelEquivalence:
     )
     @settings(max_examples=40)
     def test_reschedule_chains_fire_identically(self, chain_spec):
-        """Two-hop chains (event schedules a follow-up) match across cores."""
+        """Two-hop chains (event schedules a follow-up) match the oracle."""
 
-        def run(config) -> tuple[list[int], float]:
-            sim = Simulator(config)
+        def run(make_sim) -> tuple[list[int], float]:
+            sim = make_sim()
             fired: list[int] = []
             for i, (first, second) in enumerate(chain_spec):
 
@@ -225,5 +231,5 @@ class TestHeapWheelEquivalence:
             sim.run()
             return fired, sim.now
 
-        assert run(BATCHED) == run(LEGACY)
-        assert run(TINY_WHEEL) == run(LEGACY)
+        assert run(Simulator) == run(HeapSimulator)
+        assert run(_TinyWheel) == run(HeapSimulator)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.iorequest import OpType, Pattern
 from repro.ssd.device import SimulatedNvmeDevice
-from repro.ssd.model import HAVE_NUMPY, SsdModel
+from repro.ssd.model import SsdModel
 from repro.sim.engine import Simulator
 
 #: Model parameters drawn wide and awkward (non-representable decimals).
@@ -155,9 +155,3 @@ class TestDeviceWarmCosts:
         first = (dict(device._fixed_cost_cache), dict(device._bus_plan_cache))
         device.warm_costs(keys)
         assert (device._fixed_cost_cache, device._bus_plan_cache) == first
-
-
-def test_numpy_is_available_in_this_environment():
-    """CI installs numpy; the vectorized path must actually be active
-    here (the scalar fallback is covered by the n == 1 property)."""
-    assert HAVE_NUMPY

@@ -1,52 +1,54 @@
 """Unit tests for the discrete-event engine.
 
-Every test runs against both cores (legacy single-pop heap and the
-batched slot-wheel) via the ``make_sim`` fixture: the engine contract is
-identical by design, and ``tests/differential/`` extends that claim to
-whole scenarios.
+Every test runs via the ``make_sim`` fixture against the slot wheel, a
+tiny wheel whose events constantly cross the horizon, and the
+test-local heap oracle (``tests/differential/oracle.py``, the seed's
+single-pop loop): the engine contract is identical by design, the
+reference is held to the same contract it checks, and
+``tests/differential/`` extends that claim to whole scenarios.
 """
 
 import pytest
 
-from repro.sim.engine import EngineConfig, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
-CONFIGS = {
-    "legacy": EngineConfig(batching=False),
-    "batched": EngineConfig(),
+from tests.differential.oracle import HeapSimulator
+
+
+class _TinyWheel(Simulator):
     # A deliberately tiny wheel: events constantly cross the horizon into
     # the overflow heap and migrate back, exercising the rotation paths.
-    "batched-tiny-wheel": EngineConfig(wheel_slots=4, wheel_width_us=2.5),
+    WHEEL_SLOTS = 4
+    WHEEL_WIDTH_US = 2.5
+
+
+SIMULATORS = {
+    "batched": Simulator,
+    "batched-tiny-wheel": _TinyWheel,
+    # The seed's heap loop, kept only as the test-local oracle.
+    "legacy": HeapSimulator,
 }
 
 
-@pytest.fixture(params=sorted(CONFIGS), name="make_sim")
+@pytest.fixture(params=sorted(SIMULATORS), name="make_sim")
 def _make_sim(request):
-    config = CONFIGS[request.param]
-    return lambda: Simulator(config)
+    return SIMULATORS[request.param]
 
 
 class TestEngineSelection:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv("ISOLBENCH_ENGINE", raising=False)
-        assert Simulator().mode == "batched"
-
-    def test_env_selects_legacy(self, monkeypatch):
-        monkeypatch.setenv("ISOLBENCH_ENGINE", "legacy")
-        assert Simulator().mode == "legacy"
-
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("ISOLBENCH_ENGINE", "legacy")
-        assert Simulator(EngineConfig(batching=True)).mode == "batched"
-
-    def test_both_cores_are_simulators(self):
-        assert isinstance(Simulator(EngineConfig(batching=False)), Simulator)
-        assert isinstance(Simulator(EngineConfig(batching=True)), Simulator)
+    """Wheel geometry is selected by subclassing; a bad one fails fast."""
 
     def test_bad_wheel_geometry_rejected(self):
+        class SixSlots(Simulator):
+            WHEEL_SLOTS = 6
+
+        class ZeroWidth(Simulator):
+            WHEEL_WIDTH_US = 0.0
+
         with pytest.raises(SimulationError):
-            Simulator(EngineConfig(wheel_slots=6))
+            SixSlots()
         with pytest.raises(SimulationError):
-            Simulator(EngineConfig(wheel_width_us=0.0))
+            ZeroWidth()
 
 
 class TestScheduling:
@@ -121,7 +123,7 @@ class TestScheduling:
         assert seen == ["a", "b", "c", "d"]
 
     def test_far_future_events_cross_the_wheel_horizon(self, make_sim):
-        # Delays far beyond wheel_slots * wheel_width_us must still fire
+        # Delays far beyond WHEEL_SLOTS * WHEEL_WIDTH_US must still fire
         # in order (overflow heap + migration on rotation).
         sim = make_sim()
         seen = []
@@ -297,8 +299,8 @@ class TestDeterminism:
         assert run_once() == run_once()
 
     def test_cores_produce_identical_traces(self):
-        def run_once(config):
-            sim = Simulator(config)
+        def run_once(make_sim):
+            sim = make_sim()
             trace = []
 
             def tick(n):
@@ -312,5 +314,5 @@ class TestDeterminism:
             sim.run_until(2500.0)
             return trace
 
-        traces = [run_once(CONFIGS[name]) for name in sorted(CONFIGS)]
+        traces = [run_once(SIMULATORS[name]) for name in sorted(SIMULATORS)]
         assert traces[0] == traces[1] == traces[2]

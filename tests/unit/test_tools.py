@@ -140,7 +140,7 @@ class TestCli:
 
 #: Every workload-running subcommand ends with this machine-parseable line.
 PERF_LINE_RE = re.compile(
-    r"^perf: events=\d+ elapsed=\d+\.\d{3}s events/sec=\d+ engine=(batched|legacy)$"
+    r"^perf: events=\d+ elapsed=\d+\.\d{3}s events/sec=\d+ engine=batched$"
 )
 
 QUICK_RUN_ARGS = [
