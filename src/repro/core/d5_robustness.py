@@ -31,7 +31,7 @@ from repro.core.scenarios import BE_GROUP, robustness_specs
 from repro.core.table_one import CONTROL_KNOBS
 from repro.exec.executor import SweepExecutor, resolve_executor
 from repro.exec.summary import ScenarioSummary
-from repro.faults import get_fault_plan
+from repro.faults import FAULT_CLASSES, get_fault_plan
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
 
@@ -63,6 +63,12 @@ class RobustnessSettings:
             self.ssd = samsung_980pro_like()
         if not self.fault_classes:
             raise ValueError("need at least one fault class")
+        unknown = set(self.fault_classes) - set(FAULT_CLASSES)
+        if unknown:
+            raise ValueError(
+                f"unknown fault classes {sorted(unknown)}; "
+                f"options: {sorted(FAULT_CLASSES)}"
+            )
 
 
 def quick_settings() -> RobustnessSettings:

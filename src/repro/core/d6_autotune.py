@@ -29,7 +29,7 @@ from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
 from repro.tune.advisor import AdvisorReport, advise
 from repro.tune.evaluator import TuneEvaluator
-from repro.tune.slo import GroupSlo, SloSpec, parse_slo
+from repro.tune.slo import GroupSlo, SloSpec
 from repro.tune.space import TUNABLE_KNOBS, build_space
 
 
@@ -119,11 +119,6 @@ def default_slo() -> SloSpec:
         ),
         utilization_floor=0.25,
     )
-
-
-def resolve_slo(text: str | None) -> SloSpec:
-    """``--slo`` text when given, else the calibrated default."""
-    return parse_slo(text) if text else default_slo()
 
 
 def resolve_surrogate_model(

@@ -128,12 +128,19 @@ class OnlineControlSettings:
             self.ssd = dataclasses.replace(self.ssd, nvme_max_qd=self.nvme_max_qd)
         if not self.patterns:
             raise ValueError("need at least one arrival pattern")
+        if not self.knobs:
+            raise ValueError("need at least one knob")
         unknown = set(self.patterns) - set(DEFAULT_PATTERNS)
         if unknown:
-            raise ValueError(f"unknown patterns: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown patterns: {sorted(unknown)}; "
+                f"options: {list(DEFAULT_PATTERNS)}"
+            )
         unknown = set(self.knobs) - set(CTL_KNOBS)
         if unknown:
-            raise ValueError(f"unknown knobs: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown knobs: {sorted(unknown)}; options: {list(CTL_KNOBS)}"
+            )
 
     @property
     def duration_us(self) -> float:

@@ -64,6 +64,11 @@ class DesiderataInputs:
     burst_response_ms: float | None = None
 
 
+#: Inputs that are declared per knob rather than measured; the Table I
+#: JSON reports only the measured ones.
+_DECLARED_INPUTS = ("knob", "static_configuration", "has_prioritization")
+
+
 @dataclass
 class TableOneRow:
     """One knob's Table I row."""
@@ -200,3 +205,20 @@ class TableOne:
                 if cell.symbol == exp
             )
         return matches
+
+    def to_json_dict(self) -> dict:
+        """Golden-friendly document: verdicts, paper matches, inputs."""
+        return {
+            "verdicts": {
+                row.knob: [cell.symbol for cell in row.cells()] for row in self.rows
+            },
+            "matches_paper": self.matches_paper(),
+            "inputs": {
+                knob: {
+                    name: value
+                    for name, value in vars(inputs).items()
+                    if name not in _DECLARED_INPUTS
+                }
+                for knob, inputs in sorted(self.inputs.items())
+            },
+        }

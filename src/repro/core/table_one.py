@@ -74,6 +74,20 @@ def quick_settings() -> TableOneSettings:
     )
 
 
+def mini_settings() -> TableOneSettings:
+    """Tier-1 effort: every stage of the pipeline, minimal durations."""
+    return TableOneSettings(
+        duration_s=0.06,
+        warmup_s=0.02,
+        fairness_duration_s=0.08,
+        iolatency_duration_s=0.5,
+        burst_duration_s=2.5,
+        device_scale=16.0,
+        burst_device_scale=24.0,
+        sweep_points=2,
+    )
+
+
 def evaluate_table_one(
     settings: TableOneSettings | None = None,
     executor: SweepExecutor | None = None,

@@ -19,18 +19,32 @@ Subcommands mirror the benchmark suite::
     isol-bench bench [--mini] [--compare]    # pinned perf suite + trajectory
     isol-bench cache stats|path|clear        # result-cache maintenance
 
-``table1`` fans its scenario sweeps over worker processes and caches
+The six study subcommands (``table1``, ``d5``, ``tune``, ``place``,
+``ctl``, ``d9``) are generated from the :data:`repro.core.studies.STUDIES`
+registry and share one command, :func:`_cmd_study`: effort level
+(``--quick``/``--mini``) -> settings -> the study's flags applied with
+``dataclasses.replace``, so the settings validate them and a bad flag
+exits 1 before any scenario runs -> sweep executor -> rendered result
+-> ``--json`` document -> footer. A study's own flags, summary line and
+extra outputs (decision traces, the profiled cell) are its ``_StudyCli``
+hook in this module.
+
+Studies fan their scenario sweeps over worker processes and cache
 summaries content-addressed under ``.isolbench-cache/`` (see
 :mod:`repro.exec`); a re-run with unchanged scenarios executes nothing.
 All output is plain text; heavy lifting lives in :mod:`repro.core`.
 Every workload-running subcommand ends with a uniform machine-parseable
-footer: ``perf: events=<n> elapsed=<s>s events/sec=<r> engine=batched``.
+footer: ``perf: events=<n> elapsed=<s>s events/sec=<r> engine=batched``;
+the study subcommands print a ``sweep stats:`` line right before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro import KIB
 from repro.core.config import (
@@ -43,6 +57,7 @@ from repro.core.config import (
     Scenario,
 )
 from repro.core.runner import run_scenario
+from repro.core.studies import STUDIES
 from repro.faults import FAULT_CLASSES, get_fault_plan
 from repro.obs import (
     TraceConfig,
@@ -60,8 +75,6 @@ from repro.workloads.apps import batch_app, lc_app
 def _cmd_describe_device(args: argparse.Namespace) -> int:
     model = get_preset(args.device)
     if args.json:
-        import json
-
         print(json.dumps(describe_model_dict(model), indent=2, sort_keys=True))
     else:
         print(describe_model(model))
@@ -155,8 +168,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\nengine phase breakdown:\n{format_phase_table(profile)}")
         if args.prof_out:
             if args.prof_format == "json":
-                import json
-
                 with open(args.prof_out, "w", encoding="utf-8") as handle:
                     json.dump(
                         profile.to_json_dict(), handle, indent=2, sort_keys=True
@@ -279,302 +290,316 @@ def _add_executor_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.core.table_one import (
-        TableOneSettings,
-        evaluate_table_one,
-        quick_settings,
-    )
+def _names(text: str | None) -> tuple[str, ...] | None:
+    """``a,b`` -> ``("a", "b")``; None when the flag was not given."""
+    if not text:
+        return None
+    return tuple(name.strip() for name in text.split(",") if name.strip())
 
-    settings = quick_settings() if args.quick else TableOneSettings()
-    with _build_executor(args) as executor:
-        table = evaluate_table_one(settings, executor=executor)
-        stats = executor.stats
-    print(table.render())
+
+def _given(**fields) -> dict:
+    """The settings overrides whose flag was given (value not None)."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def _table1_footer(table) -> str:
     matches = table.matches_paper()
-    total = sum(matches.values())
-    print(f"\ncells matching the paper: {total}/{4 * len(matches)}")
-    # Machine-checkable summary (CI asserts executed=0 on a warm cache).
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
-    return 0
+    return f"\ncells matching the paper: {sum(matches.values())}/{4 * len(matches)}"
 
 
-def _cmd_d5(args: argparse.Namespace) -> int:
-    from repro.core.d5_robustness import (
-        RobustnessSettings,
-        evaluate_robustness,
-        mini_settings,
-        quick_settings,
-    )
+def _d5_prepare(args, settings):
+    return replace(settings, **_given(fault_classes=_names(args.faults))), {}
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = RobustnessSettings()
-    if args.faults:
-        names = tuple(name.strip() for name in args.faults.split(",") if name.strip())
-        for name in names:
-            get_fault_plan(name)  # fail fast on typos, with the options list
-        settings.fault_classes = names
 
-    with _build_executor(args) as executor:
-        table = evaluate_robustness(settings, executor=executor)
-        stats = executor.stats
-    print(table.render())
+def _d5_footer(table) -> str:
     best = table.rank()[0]
-    print(
+    return (
         f"\nmost robust knob: {best.knob} "
         f"(mean p99 degradation {best.mean_p99_ratio:.2f}x across "
         f"{len(table.fault_classes)} fault classes)"
     )
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(table.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote ranking JSON: {args.json}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
-    return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.core.d6_autotune import (
-        AutotuneSettings,
-        evaluate_autotune,
-        mini_settings,
-        quick_settings,
-        resolve_slo,
+def _tune_prepare(args, settings):
+    from repro.tune.slo import parse_slo
+
+    settings = replace(
+        settings,
+        strategy=args.strategy,
+        surrogate=args.surrogate,
+        **_given(
+            knobs=None if args.knob == "auto" else _names(args.knob),
+            budget=args.budget,
+            fault_class=args.faults,
+            verify_top_k=args.verify_top_k,
+        ),
     )
-    from repro.tune.advisor import write_decision_trace
-    from repro.tune.space import TUNABLE_KNOBS
-
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = AutotuneSettings()
-    if args.knob != "auto":
-        names = tuple(name.strip() for name in args.knob.split(",") if name.strip())
-        unknown = set(names) - set(TUNABLE_KNOBS)
-        if unknown:
-            raise SystemExit(
-                f"unknown knob(s) {sorted(unknown)}; options: auto,{','.join(TUNABLE_KNOBS)}"
-            )
-        settings.knobs = names
-    if args.budget is not None:
-        settings.budget = args.budget
-    settings.strategy = args.strategy
-    if args.faults:
-        get_fault_plan(args.faults)  # fail fast on typos, with the options list
-        settings.fault_class = args.faults
-    settings.surrogate = args.surrogate
     if settings.surrogate not in ("auto", "off"):
         _load_surrogate_model(settings.surrogate)  # fail fast, clean message
-    if args.verify_top_k is not None:
-        settings.verify_top_k = args.verify_top_k
-    slo = resolve_slo(args.slo)
+    # No --slo: the entry point tunes against its calibrated default SLO.
+    return settings, {"slo": parse_slo(args.slo) if args.slo else None}
 
-    with _build_executor(args) as executor:
-        report = evaluate_autotune(settings, slo=slo, executor=executor)
-        stats = executor.stats
-    print(report.render())
-    if args.json:
-        import json
 
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote advisor JSON: {args.json}")
+def _tune_artifacts(args, settings, report) -> None:
     if args.trace_out:
+        from repro.tune.advisor import write_decision_trace
+
         write_decision_trace(report, args.trace_out)
         print(f"wrote decision trace: {args.trace_out}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
-    return 0
 
 
-def _cmd_place(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.core.d7_placement import (
-        compare_placements,
-        mini_settings,
-        quick_settings,
-    )
+def _place_prepare(args, settings):
     from repro.fleet.placement import STRATEGIES
-    from repro.fleet.report import PlacementSettings
     from repro.fleet.spec import apply_slo_overrides, demo_fleet, load_fleet
     from repro.tune.slo import parse_slo
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = PlacementSettings()
-    if args.budget is not None:
-        settings = replace(settings, budget=args.budget)
+    fleet = load_fleet(args.fleet) if args.fleet else demo_fleet()
+    if args.slo:
+        fleet = apply_slo_overrides(fleet, parse_slo(args.slo))
+    inputs = {
+        "fleet": fleet,
+        "strategies": STRATEGIES if args.strategy == "all" else (args.strategy,),
+        "seed": args.seed,
+    }
+    return replace(settings, **_given(budget=args.budget)), inputs
+
+
+def _ctl_cell(args, settings):
+    """The settings narrowed to the ``--cell`` knob/pattern."""
+    knob, _, pattern = args.cell.partition("/")
     try:
-        fleet = load_fleet(args.fleet) if args.fleet else demo_fleet()
-        if args.slo:
-            fleet = apply_slo_overrides(fleet, parse_slo(args.slo))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(str(exc)) from None
-    strategies = STRATEGIES if args.strategy == "all" else (args.strategy,)
-
-    with _build_executor(args) as executor:
-        comparison = compare_placements(
-            fleet,
-            strategies=strategies,
-            settings=settings,
-            seed=args.seed,
-            executor=executor,
-        )
-        stats = executor.stats
-    print(comparison.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(comparison.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote placement JSON: {args.json}")
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
-    return 0
+        return replace(settings, knobs=(knob,), patterns=(pattern,))
+    except ValueError as exc:
+        raise ValueError(f"--cell: {exc}") from None
 
 
-def _cmd_ctl(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.core.d8_online import (
-        CTL_KNOBS,
-        DEFAULT_PATTERNS,
-        ONLINE,
-        OnlineControlSettings,
-        build_scenarios,
-        evaluate_online_control,
-        mini_settings,
-        quick_settings,
+def _ctl_prepare(args, settings):
+    settings = replace(
+        settings, **_given(knobs=_names(args.knobs), patterns=_names(args.patterns))
     )
-
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = OnlineControlSettings()
-    if args.knobs:
-        settings.knobs = tuple(
-            name.strip() for name in args.knobs.split(",") if name.strip()
-        )
-    if args.patterns:
-        settings.patterns = tuple(
-            name.strip() for name in args.patterns.split(",") if name.strip()
-        )
-    unknown = set(settings.knobs) - set(CTL_KNOBS)
-    if unknown:
-        raise SystemExit(
-            f"unknown knobs: {sorted(unknown)}; options: {list(CTL_KNOBS)}"
-        )
-    unknown = set(settings.patterns) - set(DEFAULT_PATTERNS)
-    if unknown:
-        raise SystemExit(
-            f"unknown patterns: {sorted(unknown)}; "
-            f"options: {list(DEFAULT_PATTERNS)}"
-        )
-
-    with _build_executor(args) as executor:
-        table = evaluate_online_control(settings, executor=executor)
-        stats = executor.stats
-    print(table.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(table.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote control matrix JSON: {args.json}")
     if args.trace_out or args.prof:
-        # The sweep only returns summaries; the decision trace and the
-        # profile live on the Host, so re-run the requested online cell
-        # locally (cheap: one scenario out of the matrix).
-        knob, _, pattern = args.cell.partition("/")
-        try:
-            narrowed = dataclasses.replace(
-                settings, knobs=(knob,), patterns=(pattern,)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"--cell: {exc}") from None
-        scenarios, labels = build_scenarios(narrowed)
-        online = next(
-            scenario
-            for scenario, label in zip(scenarios, labels)
-            if label[2] == ONLINE
-        )
-        if args.prof:
-            from repro.prof import ProfConfig
-
-            online = dataclasses.replace(online, prof=ProfConfig())
-        result = run_scenario(online)
-        if args.trace_out:
-            from repro.ctl import write_ctl_trace
-
-            count = write_ctl_trace(result.ctl_trace, args.trace_out)
-            print(
-                f"wrote decision trace ({count} records, "
-                f"{knob}/{pattern} online): {args.trace_out}"
-            )
-        if args.prof:
-            from repro.prof import format_phase_table
-
-            print(f"\nengine phase breakdown ({knob}/{pattern} online):")
-            print(format_phase_table(result.profile))
-    print(_sweep_stats_line(executor))
-    print(_perf_line(stats.events_processed, stats.elapsed_seconds))
-    return 0
+        _ctl_cell(args, settings)  # a bad --cell fails before the matrix runs
+    return settings, {}
 
 
-def _cmd_d9(args: argparse.Namespace) -> int:
-    from repro.core.d9_surrogate import (
-        SurrogateStudySettings,
-        evaluate_surrogate_study,
-        mini_settings,
-        quick_settings,
+def _ctl_artifacts(args, settings, table) -> None:
+    if not (args.trace_out or args.prof):
+        return
+    from repro.core.d8_online import ONLINE, build_scenarios
+
+    # The sweep only returns summaries; the decision trace and the
+    # profile live on the Host, so re-run the requested online cell
+    # locally (cheap: one scenario out of the matrix).
+    scenarios, labels = build_scenarios(_ctl_cell(args, settings))
+    online = next(
+        scenario for scenario, label in zip(scenarios, labels) if label[2] == ONLINE
     )
-    from repro.tune.space import TUNABLE_KNOBS
+    if args.prof:
+        from repro.prof import ProfConfig
 
-    if args.mini:
-        settings = mini_settings()
-    elif args.quick:
-        settings = quick_settings()
-    else:
-        settings = SurrogateStudySettings()
-    if args.knobs:
-        names = tuple(name.strip() for name in args.knobs.split(",") if name.strip())
-        unknown = set(names) - set(TUNABLE_KNOBS)
-        if unknown:
-            raise SystemExit(
-                f"unknown knobs: {sorted(unknown)}; options: {list(TUNABLE_KNOBS)}"
-            )
-        settings.knobs = names
-    if args.budget is not None:
-        settings.budget = args.budget
-    if args.train_budget is not None:
-        settings.train_budget = args.train_budget
+        online = replace(online, prof=ProfConfig())
+    result = run_scenario(online)
+    if args.trace_out:
+        from repro.ctl import write_ctl_trace
 
-    with _build_executor(args) as executor:
-        report = evaluate_surrogate_study(settings, executor=executor)
+        count = write_ctl_trace(result.ctl_trace, args.trace_out)
+        print(
+            f"wrote decision trace ({count} records, "
+            f"{args.cell} online): {args.trace_out}"
+        )
+    if args.prof:
+        from repro.prof import format_phase_table
+
+        print(f"\nengine phase breakdown ({args.cell} online):")
+        print(format_phase_table(result.profile))
+
+
+def _d9_prepare(args, settings):
+    overrides = _given(
+        knobs=_names(args.knobs), budget=args.budget, train_budget=args.train_budget
+    )
+    return replace(settings, **overrides), {}
+
+
+@dataclass(frozen=True)
+class _StudyCli:
+    """What one study subcommand adds to the shared :func:`_cmd_study`."""
+
+    help: str
+    #: The study's own flags: option -> ``add_argument`` keywords.
+    flags: dict = field(default_factory=dict)
+    #: ``(args, settings) -> (settings, inputs)``: applies the study's
+    #: flags through ``dataclasses.replace`` (so the settings validate
+    #: them) and builds the entry point's extra keyword inputs.
+    prepare: Callable = lambda args, settings: (settings, {})
+    #: ``(result) -> text``: printed right after the rendered result.
+    footer: Callable | None = None
+    #: ``(args, settings, result)``: writes the study's extra outputs.
+    artifacts: Callable | None = None
+
+
+_STUDY_CLI = {
+    "table1": _StudyCli("reproduce the paper's Table I", footer=_table1_footer),
+    "d5": _StudyCli(
+        "rank the knobs under fault injection (robustness)",
+        {
+            "--faults": {
+                "help": "comma-separated fault classes (default: latency-spike,"
+                f"gc-storm,transient-error; options: {','.join(sorted(FAULT_CLASSES))})"
+            },
+        },
+        _d5_prepare,
+        footer=_d5_footer,
+    ),
+    "tune": _StudyCli(
+        "search knob configurations against a tenant SLO",
+        {
+            "--slo": {
+                "help": "SLO spec, e.g. '/tenants/prio:p99<=100,bw>=40;util>=0.25' "
+                "(default: a calibrated demo SLO for the D5 workload)"
+            },
+            "--knob": {
+                "default": "auto",
+                "help": "comma-separated knobs to search, or 'auto' for all five",
+            },
+            "--budget": {"type": int, "help": "evaluations per knob search"},
+            "--strategy": {
+                "default": "auto",
+                "choices": ("auto", "binary", "coordinate", "random", "grid"),
+                "help": "search strategy (auto: each knob's declared default)",
+            },
+            "--faults": {
+                "choices": sorted(FAULT_CLASSES),
+                "help": "tune under a fault class (robustness-aware recommendations)",
+            },
+            "--surrogate": {
+                "nargs": "?",
+                "const": "auto",
+                "default": "off",
+                "help": "surrogate-prefiltered search: 'auto' fits on the result "
+                "cache (falls back to pure search when the corpus is too small), "
+                "a path loads a saved model, 'off' disables (bare --surrogate "
+                "means auto)",
+            },
+            "--verify-top-k": {
+                "type": int,
+                "help": "simulator verifications per knob when the surrogate is "
+                "on (default: the budget)",
+            },
+            "--trace-out": {"help": "write the decision trace as JSONL"},
+        },
+        _tune_prepare,
+        artifacts=_tune_artifacts,
+    ),
+    "place": _StudyCli(
+        "place fleet tenants on devices and compare strategies",
+        {
+            "--fleet": {"help": "fleet spec JSON (default: the pinned demo fleet)"},
+            "--slo": {
+                "help": "override tenant SLOs, e.g. '/tenants/lc-api:p99<=100;"
+                "/tenants/batch-etl:bw>=1000' (cgroups must name fleet tenants)"
+            },
+            "--strategy": {
+                "default": "all",
+                "choices": ("all", "random", "binpack", "serifos"),
+                "help": "placement strategy to run (default: all three, compared)",
+            },
+            "--budget": {"type": int, "help": "advisor evaluations per knob per device"},
+            "--seed": {"type": int, "default": 42, "help": "random-strategy seed"},
+        },
+        _place_prepare,
+    ),
+    "ctl": _StudyCli(
+        "D8: online knob control vs static tuning across arrival patterns",
+        {
+            "--knobs": {
+                "help": "comma-separated knob filter (default: io.max,io.cost,io.latency)"
+            },
+            "--patterns": {
+                "help": "comma-separated arrival-pattern filter (default: all five)"
+            },
+            "--trace-out": {
+                "help": "re-run the --cell online scenario and write its decision "
+                "trace JSONL"
+            },
+            "--cell": {
+                "default": "io.max/flash-crowd",
+                "help": "knob/pattern cell for --trace-out/--prof "
+                "(default: io.max/flash-crowd)",
+            },
+            "--prof": {
+                "action": "store_true",
+                "help": "self-profile the --cell online scenario and print the "
+                "phase table",
+            },
+        },
+        _ctl_prepare,
+        artifacts=_ctl_artifacts,
+    ),
+    "d9": _StudyCli(
+        "D9: surrogate-prefiltered vs pure search, budget for budget",
+        {
+            "--knobs": {
+                "help": "comma-separated knob filter (default: effort level's set)"
+            },
+            "--budget": {"type": int, "help": "simulator calls per arm per knob"},
+            "--train-budget": {
+                "type": int,
+                "help": "simulator calls spent training the surrogate per knob",
+            },
+        },
+        _d9_prepare,
+    ),
+}
+
+_LEVEL_HELP = {
+    "quick": "reduced effort level",
+    "mini": "smoke effort level (CI; seconds)",
+}
+
+
+def _add_study_parser(sub, study) -> None:
+    cli = _STUDY_CLI[study.name]
+    p = sub.add_parser(study.name, help=cli.help)
+    for option, keywords in cli.flags.items():
+        p.add_argument(option, **keywords)
+    for level in study.levels:
+        p.add_argument(f"--{level}", action="store_true", help=_LEVEL_HELP[level])
+    if study.noun is not None:
+        p.add_argument("--json", help="also write the result as JSON")
+    _add_executor_args(p)
+    p.set_defaults(fn=_cmd_study)
+
+
+def _cmd_study(args: argparse.Namespace) -> int:
+    """Run one registered study and print its uniform report."""
+    study = STUDIES[args.command]
+    cli = _STUDY_CLI[study.name]
+    level = next(
+        (name for name in ("mini", "quick") if getattr(args, name, False)), "default"
+    )
+    # Bad flags fail here, before any scenario runs; errors raised by
+    # the study run itself keep their traceback.
+    try:
+        settings, inputs = cli.prepare(args, study.settings(level))
+        executor = _build_executor(args)
+    except (OSError, ValueError, KeyError) as exc:
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        raise SystemExit(f"{study.name}: {detail}") from None
+
+    with executor:
+        result = study.run(settings, executor, **inputs)
         stats = executor.stats
-    print(report.render())
-    if args.json:
-        import json
-
+    print(result.render())
+    if cli.footer is not None:
+        print(cli.footer(result))
+    if getattr(args, "json", None):
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote study JSON: {args.json}")
+            json.dump(result.to_json_dict(), handle, indent=2, sort_keys=True)
+        print(f"wrote {study.noun} JSON: {args.json}")
+    if cli.artifacts is not None:
+        cli.artifacts(args, settings, result)
+    # Machine-checkable summary (CI asserts executed=0 on a warm cache).
     print(_sweep_stats_line(executor))
     print(_perf_line(stats.events_processed, stats.elapsed_seconds))
     return 0
@@ -633,7 +658,10 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
             print(f"loaded model: {args.model} ({model.n_rows} training rows)")
             print(_fit_metrics_table(model, corpus, "corpus target"))
             return 0
-        train, held = holdout_split(corpus, every=args.holdout_every)
+        try:
+            train, held = holdout_split(corpus, every=args.holdout_every)
+        except ValueError as exc:
+            raise SystemExit(f"surrogate eval: --holdout-every: {exc}") from None
         if not held.rows or train.n_rows < 2:
             raise SystemExit(
                 f"corpus has {corpus.n_rows} rows -- too few for a "
@@ -671,10 +699,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     from repro.prof import bench
 
-    cases = None
-    if args.cases:
-        cases = tuple(name.strip() for name in args.cases.split(",") if name.strip())
-
+    cases = _names(args.cases)
     directory = args.dir
     baseline_path = args.baseline or bench.latest_bench_path(directory)
 
@@ -833,181 +858,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_trace)
 
-    p = sub.add_parser("table1", help="reproduce the paper's Table I")
-    p.add_argument("--quick", action="store_true")
-    _add_executor_args(p)
-    p.set_defaults(fn=_cmd_table1)
-
-    p = sub.add_parser(
-        "d5", help="rank the knobs under fault injection (robustness)"
-    )
-    p.add_argument("--quick", action="store_true", help="reduced effort level")
-    p.add_argument(
-        "--mini", action="store_true", help="smoke effort level (CI; seconds)"
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        help="comma-separated fault classes (default: latency-spike,"
-        "gc-storm,transient-error; options: " + ",".join(sorted(FAULT_CLASSES)) + ")",
-    )
-    p.add_argument("--json", default=None, help="also write the ranking as JSON")
-    _add_executor_args(p)
-    p.set_defaults(fn=_cmd_d5)
-
-    p = sub.add_parser(
-        "tune", help="search knob configurations against a tenant SLO"
-    )
-    p.add_argument(
-        "--slo",
-        default=None,
-        help="SLO spec, e.g. '/tenants/prio:p99<=100,bw>=40;util>=0.25' "
-        "(default: a calibrated demo SLO for the D5 workload)",
-    )
-    p.add_argument(
-        "--knob",
-        default="auto",
-        help="comma-separated knobs to search, or 'auto' for all five",
-    )
-    p.add_argument(
-        "--budget", type=int, default=None, help="evaluations per knob search"
-    )
-    p.add_argument(
-        "--strategy",
-        default="auto",
-        choices=("auto", "binary", "coordinate", "random", "grid"),
-        help="search strategy (auto: each knob's declared default)",
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        choices=sorted(FAULT_CLASSES),
-        help="tune under a fault class (robustness-aware recommendations)",
-    )
-    p.add_argument(
-        "--surrogate",
-        nargs="?",
-        const="auto",
-        default="off",
-        help="surrogate-prefiltered search: 'auto' fits on the result cache "
-        "(falls back to pure search when the corpus is too small), a path "
-        "loads a saved model, 'off' disables (bare --surrogate means auto)",
-    )
-    p.add_argument(
-        "--verify-top-k",
-        type=int,
-        default=None,
-        help="simulator verifications per knob when the surrogate is on "
-        "(default: the budget)",
-    )
-    p.add_argument("--quick", action="store_true", help="reduced effort level")
-    p.add_argument(
-        "--mini", action="store_true", help="smoke effort level (CI; seconds)"
-    )
-    p.add_argument("--json", default=None, help="also write the report as JSON")
-    p.add_argument(
-        "--trace-out", default=None, help="write the decision trace as JSONL"
-    )
-    _add_executor_args(p)
-    p.set_defaults(fn=_cmd_tune)
-
-    p = sub.add_parser(
-        "place",
-        help="place fleet tenants on devices and compare strategies",
-    )
-    p.add_argument(
-        "--fleet",
-        default=None,
-        help="fleet spec JSON (default: the pinned demo fleet)",
-    )
-    p.add_argument(
-        "--slo",
-        default=None,
-        help="override tenant SLOs, e.g. '/tenants/lc-api:p99<=100;"
-        "/tenants/batch-etl:bw>=1000' (cgroups must name fleet tenants)",
-    )
-    p.add_argument(
-        "--strategy",
-        default="all",
-        choices=("all", "random", "binpack", "serifos"),
-        help="placement strategy to run (default: all three, compared)",
-    )
-    p.add_argument(
-        "--budget", type=int, default=None, help="advisor evaluations per knob per device"
-    )
-    p.add_argument("--seed", type=int, default=42, help="random-strategy seed")
-    p.add_argument("--quick", action="store_true", help="reduced effort level")
-    p.add_argument(
-        "--mini", action="store_true", help="smoke effort level (CI; seconds)"
-    )
-    p.add_argument("--json", default=None, help="also write the comparison as JSON")
-    _add_executor_args(p)
-    p.set_defaults(fn=_cmd_place)
-
-    p = sub.add_parser(
-        "ctl",
-        help="D8: online knob control vs static tuning across arrival patterns",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="longer-run effort level"
-    )
-    p.add_argument(
-        "--mini", action="store_true", help="smoke effort level (CI; the default)"
-    )
-    p.add_argument(
-        "--knobs",
-        default=None,
-        help="comma-separated knob filter (default: io.max,io.cost,io.latency)",
-    )
-    p.add_argument(
-        "--patterns",
-        default=None,
-        help="comma-separated arrival-pattern filter (default: all five)",
-    )
-    p.add_argument("--json", default=None, help="also write the matrix as JSON")
-    p.add_argument(
-        "--trace-out",
-        default=None,
-        help="re-run the --cell online scenario and write its decision trace JSONL",
-    )
-    p.add_argument(
-        "--cell",
-        default="io.max/flash-crowd",
-        help="knob/pattern cell for --trace-out/--prof (default: io.max/flash-crowd)",
-    )
-    p.add_argument(
-        "--prof",
-        action="store_true",
-        help="self-profile the --cell online scenario and print the phase table",
-    )
-    _add_executor_args(p)
-    p.set_defaults(fn=_cmd_ctl)
-
-    p = sub.add_parser(
-        "d9",
-        help="D9: surrogate-prefiltered vs pure search, budget for budget",
-    )
-    p.add_argument("--quick", action="store_true", help="reduced effort level")
-    p.add_argument(
-        "--mini", action="store_true", help="smoke effort level (CI; seconds)"
-    )
-    p.add_argument(
-        "--knobs",
-        default=None,
-        help="comma-separated knob filter (default: effort level's set)",
-    )
-    p.add_argument(
-        "--budget", type=int, default=None, help="simulator calls per arm per knob"
-    )
-    p.add_argument(
-        "--train-budget",
-        type=int,
-        default=None,
-        help="simulator calls spent training the surrogate per knob",
-    )
-    p.add_argument("--json", default=None, help="also write the study as JSON")
-    _add_executor_args(p)
-    p.set_defaults(fn=_cmd_d9)
+    for study in STUDIES.values():
+        _add_study_parser(sub, study)
 
     p = sub.add_parser(
         "surrogate",

@@ -7,7 +7,11 @@ using GitHub's slug rules. External ``http(s)`` links are out of scope
 — checking them would make tier-1 depend on the network.
 
 This is satellite coverage for the docs site: a renamed file or heading
-breaks this test instead of silently 404ing for readers.
+breaks this test instead of silently 404ing for readers. The same goes
+for code references in prose: every backticked repo path
+(``tests/...``, ``src/...``, ...) and every ``python -m tests....``
+module named in the docs, README.md, EXPERIMENTS.md or DESIGN.md must
+exist.
 """
 
 from __future__ import annotations
@@ -45,32 +49,25 @@ def _github_slug(heading: str) -> str:
     return text.replace(" ", "-")
 
 
-def _headings(path: Path) -> set[str]:
-    slugs: set[str] = set()
+def _prose_lines(path: Path) -> list[str]:
+    """The lines of a markdown file outside fenced code blocks."""
+    lines: list[str] = []
     in_fence = False
     for line in path.read_text(encoding="utf-8").splitlines():
         if _CODE_FENCE_RE.match(line):
             in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
-        match = _HEADING_RE.match(line)
-        if match:
-            slugs.add(_github_slug(match.group(2)))
-    return slugs
+        elif not in_fence:
+            lines.append(line)
+    return lines
+
+
+def _headings(path: Path) -> set[str]:
+    matches = (_HEADING_RE.match(line) for line in _prose_lines(path))
+    return {_github_slug(match.group(2)) for match in matches if match}
 
 
 def _links(path: Path) -> list[str]:
-    found: list[str] = []
-    in_fence = False
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if _CODE_FENCE_RE.match(line):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
-        found.extend(_LINK_RE.findall(line))
-    return found
+    return [link for line in _prose_lines(path) for link in _LINK_RE.findall(line)]
 
 
 def test_doc_files_present() -> None:
@@ -122,3 +119,59 @@ def test_relative_links_resolve(doc: Path) -> None:
         f"{doc.relative_to(REPO_ROOT)} has broken links:\n  "
         + "\n  ".join(broken)
     )
+
+
+PROSE_FILES = sorted([*DOC_FILES, REPO_ROOT / "DESIGN.md"])
+
+# `tests/...`-style inline code spans; <name>/* are wildcards and
+# {a,b} lists alternatives that must each exist.
+_REPO_PATH_RE = re.compile(
+    r"`((?:tests|src|docs|examples|benchmarks|perfbench)/[^`\s]*)`"
+)
+_TEST_MODULE_RE = re.compile(r"python -m (tests(?:\.\w+)+)")
+
+
+def _expand(path: str) -> list[str]:
+    """Brace alternatives: ``a_{x,y}.json`` -> ``a_x.json``, ``a_y.json``."""
+    match = re.search(r"\{([^}]*)\}", path)
+    if match is None:
+        return [path]
+    return [
+        expanded
+        for option in match.group(1).split(",")
+        for expanded in _expand(path[: match.start()] + option + path[match.end() :])
+    ]
+
+
+def _repo_path_exists(path: str) -> bool:
+    pattern = re.sub(r"<[^>]*>", "*", path)
+    if "*" in pattern:
+        return any(REPO_ROOT.glob(pattern))
+    return (REPO_ROOT / pattern).exists()
+
+
+@pytest.mark.parametrize(
+    "doc", PROSE_FILES, ids=lambda p: p.relative_to(REPO_ROOT).as_posix()
+)
+def test_backticked_repo_paths_exist(doc: Path) -> None:
+    stale = [
+        path
+        for line in _prose_lines(doc)
+        for quoted in _REPO_PATH_RE.findall(line)
+        for path in _expand(quoted)
+        if not _repo_path_exists(path)
+    ]
+    assert not stale, f"{doc.relative_to(REPO_ROOT)} cites missing paths: {stale}"
+
+
+@pytest.mark.parametrize(
+    "doc", PROSE_FILES, ids=lambda p: p.relative_to(REPO_ROOT).as_posix()
+)
+def test_python_m_test_modules_exist(doc: Path) -> None:
+    text = doc.read_text(encoding="utf-8")
+    stale = [
+        module
+        for module in _TEST_MODULE_RE.findall(text)
+        if not (REPO_ROOT / (module.replace(".", "/") + ".py")).exists()
+    ]
+    assert not stale, f"{doc.relative_to(REPO_ROOT)} runs missing modules: {stale}"

@@ -190,3 +190,157 @@ class TestPerfFooter:
         assert pstats.Stats(out_path).stats  # loadable by the stdlib
         last = out.strip().splitlines()[-1]
         assert PERF_LINE_RE.match(last), last
+
+
+@pytest.fixture
+def no_scenarios(monkeypatch):
+    """Fail the test if any sweep runs a scenario."""
+    from repro.exec import SweepExecutor
+
+    def refuse(self, scenarios):
+        raise AssertionError(f"a sweep ran {len(scenarios)} scenario(s)")
+
+    monkeypatch.setattr(SweepExecutor, "run", refuse)
+
+
+class TestStudyFlagValidation:
+    """A bad study flag exits 1 with one line before any scenario runs."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in (
+                (["d5", "--mini", "--faults", ","], "d5: need at least one fault class"),
+                (["d5", "--faults", "gc-strom"], "d5: unknown fault classes ['gc-strom']"),
+                (["tune", "--mini", "--knob", "io.max", "--budget", "0"], "tune: budget"),
+                (["tune", "--mini", "--slo", "garbage"], "tune: cannot parse SLO"),
+                (["place", "--mini", "--budget", "0"], "place: budget must be >= 1"),
+                (["ctl", "--mini", "--knobs", ","], "ctl: need at least one knob"),
+                (["ctl", "--mini", "--patterns", ","], "ctl: need at least one arrival"),
+                (
+                    ["ctl", "--mini", "--prof", "--cell", "io.max/bogus"],
+                    "ctl: --cell: unknown patterns: ['bogus']",
+                ),
+                (["d9", "--mini", "--knobs", ","], "d9: need at least one knob"),
+                (
+                    ["d9", "--mini", "--knobs", "io.max", "--budget", "0"],
+                    "d9: budget must be >= 1",
+                ),
+            )
+        ],
+    )
+    def test_bad_flag_exits_before_any_scenario(self, argv, message, no_scenarios):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--no-cache", "--quiet"])
+        text = str(exit_info.value.code)
+        assert text.startswith(message) and "\n" not in text, text
+
+    @pytest.mark.parametrize("name", ["table1", "d5", "tune", "place", "ctl", "d9"])
+    def test_zero_workers_exits_before_any_scenario(self, name, no_scenarios):
+        with pytest.raises(SystemExit, match="max_workers must be >= 1"):
+            main([name, "--workers", "0", "--no-cache"])
+
+    def test_surrogate_eval_rejects_holdout_every_one(self, tmp_path, monkeypatch):
+        import repro.surrogate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit ran")
+
+        monkeypatch.setattr(repro.surrogate, "fit_from_corpus", refuse)
+        argv = ["surrogate", "eval", "--holdout-every", "1"]
+        with pytest.raises(SystemExit, match="--holdout-every: every must be >= 2"):
+            main([*argv, "--cache-dir", str(tmp_path)])
+
+
+def _store(default=None, choices=None, type_name=None, nargs=None, const=None):
+    return ("Store", default, choices, nargs, const, type_name)
+
+
+_FLAG = ("StoreTrue", False, None, 0, True, None)
+_HELP = ("Help", "==SUPPRESS==", None, 0, None, None)
+_EXECUTOR_FLAGS = {
+    "-h": _HELP,
+    "--help": _HELP,
+    "--workers": _store(type_name="int"),
+    "--no-cache": _FLAG,
+    "--cache-dir": _store(),
+    "--quiet": _FLAG,
+}
+_LEVEL_FLAGS = {"--quick": _FLAG, "--mini": _FLAG, "--json": _store()}
+_FAULT_CLASSES = [
+    "gc-storm", "latency-spike", "slowdown", "timeout-storm", "transient-error"
+]
+
+#: Every study subcommand's flags: option -> (action, default, choices,
+#: nargs, const, type). Generating the parser from the study registry
+#: must neither drop nor add one (there is no ``table1 --mini`` or
+#: ``table1 --json``).
+STUDY_FLAGS = {
+    "table1": {**_EXECUTOR_FLAGS, "--quick": _FLAG},
+    "d5": {**_EXECUTOR_FLAGS, **_LEVEL_FLAGS, "--faults": _store()},
+    "tune": {
+        **_EXECUTOR_FLAGS,
+        **_LEVEL_FLAGS,
+        "--slo": _store(),
+        "--knob": _store("auto"),
+        "--budget": _store(type_name="int"),
+        "--strategy": _store(
+            "auto", ["auto", "binary", "coordinate", "random", "grid"]
+        ),
+        "--faults": _store(choices=_FAULT_CLASSES),
+        "--surrogate": _store("off", nargs="?", const="auto"),
+        "--verify-top-k": _store(type_name="int"),
+        "--trace-out": _store(),
+    },
+    "place": {
+        **_EXECUTOR_FLAGS,
+        **_LEVEL_FLAGS,
+        "--fleet": _store(),
+        "--slo": _store(),
+        "--strategy": _store("all", ["all", "random", "binpack", "serifos"]),
+        "--budget": _store(type_name="int"),
+        "--seed": _store(42, type_name="int"),
+    },
+    "ctl": {
+        **_EXECUTOR_FLAGS,
+        **_LEVEL_FLAGS,
+        "--knobs": _store(),
+        "--patterns": _store(),
+        "--trace-out": _store(),
+        "--cell": _store("io.max/flash-crowd"),
+        "--prof": _FLAG,
+    },
+    "d9": {
+        **_EXECUTOR_FLAGS,
+        **_LEVEL_FLAGS,
+        "--knobs": _store(),
+        "--budget": _store(type_name="int"),
+        "--train-budget": _store(type_name="int"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_FLAGS))
+def test_study_flag_surface_is_pinned(name):
+    import argparse
+
+    parser = build_parser()
+    sub = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    surface = {}
+    for action in sub.choices[name]._actions:
+        assert action.option_strings, f"{name}: positional {action.dest!r}"
+        for option in action.option_strings:
+            surface[option] = (
+                type(action).__name__.strip("_").removesuffix("Action"),
+                action.default,
+                list(action.choices) if action.choices is not None else None,
+                action.nargs,
+                action.const,
+                getattr(action.type, "__name__", None),
+            )
+    assert surface == STUDY_FLAGS[name]
