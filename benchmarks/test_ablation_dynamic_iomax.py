@@ -19,6 +19,7 @@ from repro.core.config import DynamicIoMaxKnob, IoMaxKnob, NoneKnob, Scenario
 from repro.core.knob_catalog import iomax_limit_for_share
 from repro.core.report import render_table
 from repro.core.runner import run_scenario
+from repro.metrics.collector import cgroup_stats
 from repro.ssd.presets import samsung_980pro_like
 from repro.workloads.apps import batch_app
 from repro.workloads.spec import ActivityWindow
@@ -68,7 +69,7 @@ def test_dynamic_iomax(benchmark, figure_output):
                     device_scale=DEVICE_SCALE,
                 )
             )
-            both_running = result.collector.cgroup_stats(0.15e6, HEAVY_STOPS_AT_US)
+            both_running = cgroup_stats(result.apps.values(), 0.15e6, HEAVY_STOPS_AT_US)
             bandwidths = [
                 both_running[path].bytes / ((HEAVY_STOPS_AT_US - 0.15e6) / 1e6)
                 for path in sorted(both_running)
@@ -78,9 +79,7 @@ def test_dynamic_iomax(benchmark, figure_output):
             fairness = weighted_jain_index(
                 bandwidths, [WEIGHTS[path] for path in sorted(both_running)]
             )
-            light_after = result.collector.app_stats(
-                "light", 0.7e6, DURATION_S * 1e6
-            )
+            light_after = result.app_stats_window("light", 0.7e6, DURATION_S * 1e6)
             rows.append(
                 [
                     name,

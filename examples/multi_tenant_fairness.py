@@ -65,7 +65,7 @@ def run_case(knob_name, knob, gold_stops_at_s=None):
 
 def equivalent_gib_s(result, t_start_us, t_end_us):
     """Aggregate full-speed-equivalent bandwidth over a sub-window."""
-    total_bytes = result.collector.total_bytes(t_start_us, t_end_us)
+    total_bytes = result.total_bytes(t_start_us, t_end_us)
     seconds = (t_end_us - t_start_us) / 1e6
     return total_bytes / seconds / GIB * DEVICE_SCALE
 

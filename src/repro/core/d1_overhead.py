@@ -22,7 +22,7 @@ from repro.core.knob_catalog import ALL_KNOB_NAMES, overhead_knobs
 from repro.core.scenarios import batch_scaling_specs, lc_scaling_specs
 from repro.exec.executor import SweepExecutor, resolve_executor
 from repro.exec.summary import ScenarioSummary
-from repro.metrics.latency import percentile
+from repro.metrics.latency import cdf, percentile, seq_sum
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
 
@@ -113,27 +113,21 @@ def run_lc_overhead(
         samples = _merged_latencies(summary)
         if not samples:
             raise RuntimeError(f"no completions for {summary.scenario_name}")
-        total_ios = sum(
-            summary.app_stats(name).ios for name in summary.app_names()
-        )
         study.points.append(
             LcOverheadPoint(
                 knob=knob_name,
                 n_apps=n_apps,
                 p99_us=percentile(samples, 99.0),
                 p50_us=percentile(samples, 50.0),
-                mean_us=sum(samples) / len(samples),
+                mean_us=seq_sum(samples) / len(samples),
                 cpu_utilization=summary.cpu.utilization,
                 ctx_switches_per_io=summary.cpu.ctx_switches_per_io,
                 cycles_per_io=summary.cpu.cycles_per_io,
-                total_iops=total_ios / (summary.window_us / 1e6),
+                total_iops=len(samples) / (summary.window_us / 1e6),
             )
         )
         if n_apps in collect_cdf_for:
-            ordered = sorted(samples)
-            probs = [i / (cdf_points - 1) for i in range(cdf_points)]
-            values = [percentile(ordered, p * 100.0) for p in probs]
-            study.cdfs[(knob_name, n_apps)] = (values, probs)
+            study.cdfs[(knob_name, n_apps)] = cdf(samples, points=cdf_points)
     return study
 
 

@@ -33,6 +33,7 @@ from repro.core.scenarios import (
 from repro.exec.executor import SweepExecutor, resolve_executor
 from repro.exec.summary import ScenarioSummary
 from repro.iorequest import KIB, OpType, Pattern
+from repro.metrics.latency import seq_sum
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
 
@@ -160,7 +161,7 @@ def measure_burst_response(
     ]
     if not steady_samples:
         return BurstResponse(knob.profile_name, priority_kind, None, math.inf, bucket_ms)
-    steady = sum(steady_samples) / len(steady_samples)
+    steady = seq_sum(steady_samples) / len(steady_samples)
 
     response_ms = None
     for t, v in zip(starts, values):
@@ -173,52 +174,3 @@ def measure_burst_response(
             response_ms = (t + bucket_us - burst_start_us) / 1e3
             break
     return BurstResponse(knob.profile_name, priority_kind, response_ms, steady, bucket_ms)
-
-
-def be_bandwidth_settle_time(
-    knob: KnobConfig,
-    burst_start_s: float = 2.0,
-    duration_s: float = 10.0,
-    ssd: SsdModel | None = None,
-    device_scale: float = 16.0,
-    bucket_ms: float = 100.0,
-    seed: int = 42,
-    executor: SweepExecutor | None = None,
-) -> float | None:
-    """How long until the BE side reaches its final (throttled) level.
-
-    For io.latency this exposes the multi-second QD-halving staircase
-    (Q10) even when the priority app's own metric settles earlier.
-    """
-    ssd = ssd or samsung_980pro_like()
-    burst_start_us = burst_start_s * 1e6
-    specs = burst_specs("lc", burst_start_us)
-    scenario = Scenario(
-        name=f"d4-settle-{knob.profile_name}",
-        knob=knob,
-        apps=specs,
-        ssd_model=ssd,
-        cores=10,
-        duration_s=duration_s,
-        warmup_s=burst_start_s * 0.5,
-        seed=seed,
-        device_scale=device_scale,
-    )
-    summary = resolve_executor(executor).run_one(scenario)
-    bucket_us = bucket_ms * 1e3
-    per_app = [
-        _bucketized(summary, spec.name, bucket_us, "mib_s")
-        for spec in specs
-        if spec.cgroup_path == BE_GROUP
-    ]
-    starts = per_app[0][0]
-    totals = [sum(vals[i] for _, vals in per_app) for i in range(len(starts))]
-    settle_from = burst_start_us + (duration_s * 1e6 - burst_start_us) * 0.7
-    steady = [v for t, v in zip(starts, totals) if t >= settle_from]
-    if not steady:
-        return None
-    target = sum(steady) / len(steady)
-    for t, v in zip(starts, totals):
-        if t >= burst_start_us and v <= target * 1.25:
-            return (t + bucket_us - burst_start_us) / 1e3
-    return None

@@ -32,6 +32,7 @@ from repro.core.table_one import CONTROL_KNOBS
 from repro.exec.executor import SweepExecutor, resolve_executor
 from repro.exec.summary import ScenarioSummary
 from repro.faults import FAULT_CLASSES, get_fault_plan
+from repro.metrics.latency import seq_sum
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
 
@@ -147,7 +148,7 @@ class KnobRobustness:
     @property
     def mean_p99_ratio(self) -> float:
         ratios = [self.p99_ratio(name) for name in sorted(self.degraded)]
-        return sum(ratios) / len(ratios)
+        return seq_sum(ratios) / len(ratios)
 
     @property
     def worst_p99_ratio(self) -> float:
@@ -214,7 +215,7 @@ def _outcome(
 ) -> RobustnessOutcome:
     """Distill one run into its D5 cell."""
     prio = summary.app_stats("prio")
-    be_mib_s = sum(
+    be_mib_s = seq_sum(
         stats.bandwidth_mib_s
         for stats in summary.cgroup_stats().values()
         if stats.cgroup_path == BE_GROUP

@@ -419,14 +419,15 @@ def _outcome(
     mode: str,
 ) -> CellOutcome:
     """Distill one run into its D8 cell."""
-    prio = summary.cgroup_stats().get(PRIORITY_GROUP)
+    groups = summary.cgroup_stats()
+    prio = groups.get(PRIORITY_GROUP)
     if prio is None or prio.latency is None:
         raise RuntimeError(
             f"d8 run {knob}/{pattern}/{mode}: the priority app completed no "
             f"requests in the measurement window — the load shape starved "
             f"it entirely; lengthen duration_s or soften the pattern"
         )
-    be = summary.cgroup_stats().get(BE_GROUP)
+    be = groups.get(BE_GROUP)
     p99_full_speed = prio.latency.p99_us / settings.device_scale
     counters = summary.ctl_counters
     applied = sum(

@@ -42,7 +42,7 @@ from repro.iocontrol.iomax import IoMaxController
 from repro.iocontrol.mq_deadline import MqDeadlineScheduler
 from repro.iocontrol.nonectl import NoneScheduler
 from repro.iorequest import IoRequest, OpType, Pattern
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import MetricsCollector, cgroup_stats
 from repro.metrics.workconservation import WorkConservationProbe
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -365,7 +365,7 @@ class Host:
             config,
             slo,
             self._build_ctl_controllers(config),
-            window_stats=self.collector.cgroup_stats,
+            window_stats=partial(cgroup_stats, self.collector.logs.values()),
             device_scale=self.scenario.device_scale,
         )
         sampler = StackSampler(

@@ -1,9 +1,10 @@
 """Scenario execution and results.
 
 :func:`run_scenario` builds a :class:`~repro.core.host.Host`, runs it and
-returns a :class:`ScenarioResult` exposing the measurements the paper's
-plots are built from: per-app/per-cgroup window statistics, latency
-CDFs, aggregate bandwidth, weighted fairness, and the CPU profile.
+returns a :class:`ScenarioResult`: the run's measurements -- the
+per-app/per-cgroup window statistics, latency CDFs, aggregate bandwidth,
+weighted fairness and CPU profile the paper's plots are built from --
+plus the live host that produced them.
 """
 
 from __future__ import annotations
@@ -13,57 +14,25 @@ from dataclasses import dataclass
 
 from repro.core.config import Scenario
 from repro.core.host import Host
-from repro.cpu.accounting import CpuReport
-from repro.iorequest import GIB
-from repro.metrics.collector import AppWindowStats, MetricsCollector
-from repro.metrics.fairness import weighted_jain_index
-from repro.metrics.latency import cdf
+from repro.exec.summary import ScenarioSummary
 from repro.obs.export import Trace
 
 
-@dataclass
-class ScenarioResult:
-    """Measurements of one scenario run over its measurement window."""
+@dataclass(kw_only=True)
+class ScenarioResult(ScenarioSummary):
+    """One scenario run: its measurements plus the live objects behind them.
+
+    Every measurement view (``app_stats``, ``cgroup_stats``,
+    ``latency_cdf``, ``fairness``, ``describe``, ...) is
+    :class:`~repro.exec.summary.ScenarioSummary`'s, here over the host
+    collector's live completion logs; :func:`~repro.exec.summary.
+    summarize` freezes them and drops the host. The host keeps the
+    observability and control artifacts below, which only a freshly
+    executed run has.
+    """
 
     scenario: Scenario
-    collector: MetricsCollector
-    cpu: CpuReport
-    t_start_us: float
-    t_end_us: float
     host: Host
-    # Engine performance counters: events fired and the wall-clock time
-    # spent firing them (perf diagnostics for the simulator itself).
-    events_processed: int = 0
-    wall_seconds: float = 0.0
-
-    @property
-    def window_us(self) -> float:
-        return self.t_end_us - self.t_start_us
-
-    @property
-    def events_per_sec(self) -> float:
-        """Wall-clock event-loop throughput of this run."""
-        return self.events_processed / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def fault_counters(self) -> dict[str, float]:
-        """Failure accounting under ``Scenario.faults`` (empty when off).
-
-        Host-level retry/timeout/error counters plus per-device injector
-        counters (``dev<i>.*``); carried into ``ScenarioSummary`` so
-        cached and cross-process results keep the same accounting.
-        """
-        return self.host.fault_counters()
-
-    @property
-    def ctl_counters(self) -> dict[str, float]:
-        """Control-plane accounting under ``Scenario.ctl`` (empty when off).
-
-        Plane-level step/skip counts plus per-controller applied/skipped
-        and final-setting counters; carried into ``ScenarioSummary`` so
-        cached and cross-process results keep the same accounting.
-        """
-        return self.host.ctl_counters()
 
     @property
     def ctl_trace(self) -> list[dict] | None:
@@ -124,92 +93,6 @@ class ScenarioResult:
             return None
         return profiler.profile()
 
-    # ------------------------------------------------------------------
-    # Per-app / per-group views
-    # ------------------------------------------------------------------
-    def app_stats(self, app_name: str) -> AppWindowStats:
-        return self.collector.app_stats(app_name, self.t_start_us, self.t_end_us)
-
-    def all_app_stats(self) -> dict[str, AppWindowStats]:
-        return {
-            name: self.app_stats(name) for name in self.collector.app_names()
-        }
-
-    def cgroup_stats(self) -> dict[str, AppWindowStats]:
-        return self.collector.cgroup_stats(self.t_start_us, self.t_end_us)
-
-    def latency_cdf(self, app_name: str, points: int = 200):
-        samples = self.collector.window_latencies(
-            app_name, self.t_start_us, self.t_end_us
-        )
-        return cdf(samples, points=points)
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    @property
-    def aggregate_bandwidth_gib_s(self) -> float:
-        total = self.collector.total_bytes(self.t_start_us, self.t_end_us)
-        return total / GIB / (self.window_us / 1e6)
-
-    @property
-    def equivalent_bandwidth_gib_s(self) -> float:
-        """Bandwidth scaled back to full device speed.
-
-        Scenarios run at ``device_scale > 1`` slow every bottleneck by the
-        same factor; multiplying the measured bandwidth back yields the
-        full-speed equivalent the paper's absolute numbers correspond to.
-        """
-        return self.aggregate_bandwidth_gib_s * self.scenario.device_scale
-
-    @property
-    def work_conservation_violation(self) -> float:
-        """Worst per-device "idle while work pending" fraction (§II-B D3).
-
-        0.0 for a fully work-conserving stack; grows as a knob holds
-        requests back while the device has idle flash units.
-        """
-        fractions = [probe.violation_fraction for probe in self.host.wc_probes]
-        return max(fractions) if fractions else 0.0
-
-    def fairness(self, weights_by_group: dict[str, float] | None = None) -> float:
-        """Weighted Jain's index over per-cgroup bandwidth (§VI-A).
-
-        ``weights_by_group`` defaults to uniform weights.
-        """
-        groups = self.cgroup_stats()
-        if not groups:
-            raise ValueError("no completions in the measurement window")
-        paths = sorted(groups)
-        bandwidths = [groups[path].bytes / (self.window_us / 1e6) for path in paths]
-        if weights_by_group is None:
-            weights = [1.0] * len(paths)
-        else:
-            missing = [path for path in paths if path not in weights_by_group]
-            if missing:
-                raise ValueError(f"missing weights for groups: {missing}")
-            weights = [weights_by_group[path] for path in paths]
-        return weighted_jain_index(bandwidths, weights)
-
-    def describe(self) -> str:
-        """One-paragraph text summary (used by examples and the CLI)."""
-        lines = [
-            f"scenario {self.scenario.name!r} "
-            f"[knob={self.scenario.knob.label}, "
-            f"{self.scenario.num_devices} SSD(s), {self.scenario.cores} cores]",
-            f"  aggregate bandwidth: {self.aggregate_bandwidth_gib_s:.3f} GiB/s",
-            f"  cpu: {self.cpu}",
-            f"  engine: {self.events_processed:,} events in "
-            f"{self.wall_seconds:.2f}s wall ({self.events_per_sec:,.0f} events/s)",
-        ]
-        for name, stats in sorted(self.all_app_stats().items()):
-            latency = f", {stats.latency}" if stats.latency else ""
-            lines.append(
-                f"  app {name:<12s} {stats.bandwidth_mib_s:9.1f} MiB/s "
-                f"({stats.iops:9.0f} IOPS){latency}"
-            )
-        return "\n".join(lines)
-
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Build, run and measure one scenario."""
@@ -217,13 +100,25 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     wall_start = time.perf_counter()
     host.run()
     wall_seconds = time.perf_counter() - wall_start
+    # Worst per-device "idle while work pending" fraction (§II-B D3):
+    # 0.0 for a fully work-conserving stack.
+    violations = [probe.violation_fraction for probe in host.wc_probes]
     return ScenarioResult(
-        scenario=scenario,
-        collector=host.collector,
-        cpu=host.accounting.report(),
+        scenario_name=scenario.name,
+        knob_label=scenario.knob.label,
+        seed=scenario.seed,
+        num_devices=scenario.num_devices,
+        cores=scenario.cores,
+        device_scale=scenario.device_scale,
         t_start_us=scenario.warmup_us,
         t_end_us=scenario.duration_us,
-        host=host,
+        apps=dict(host.collector.logs),
+        cpu=host.accounting.report(),
+        work_conservation_violation=max(violations) if violations else 0.0,
         events_processed=host.sim.events_processed,
+        fault_counters=host.fault_counters(),
+        ctl_counters=host.ctl_counters(),
         wall_seconds=wall_seconds,
+        scenario=scenario,
+        host=host,
     )

@@ -32,10 +32,9 @@ from repro.exec.executor import (
     set_default_executor,
     use_executor,
 )
-from repro.exec.summary import AppSeries, ScenarioSummary, run_scenario_summary, summarize
+from repro.exec.summary import ScenarioSummary, run_scenario_summary, summarize
 
 __all__ = [
-    "AppSeries",
     "CacheStats",
     "ExecutorStats",
     "resolve_executor",

@@ -28,8 +28,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import math
+import pkgutil
+import re
+import types
+import typing
 
 from repro.exec.summary import SUMMARY_SCHEMA_VERSION
 
@@ -45,7 +50,9 @@ from repro.exec.summary import SUMMARY_SCHEMA_VERSION
 #: JobSpec.arrival_phases time-varying arrivals — scenarios render with
 #: new fields whose defaults older entries never carried, and ctl runs
 #: rewrite knob files mid-run, which no pre-v4 simulator could.
-SCHEMA_VERSION = 4
+#: v5: columnar entry files (``*.entry``: JSON header plus raw column
+#: bytes) replace gzipped pickles; summaries hold numpy completion logs.
+SCHEMA_VERSION = 5
 
 _SALT = f"isolbench-cache:v{SCHEMA_VERSION}:summary-v{SUMMARY_SCHEMA_VERSION}"
 
@@ -128,3 +135,151 @@ def scenario_key(scenario) -> str:
     """SHA-256 content address of a scenario (hex, 64 chars)."""
     text = _SALT + "|" + canonical_text(scenario)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Decoding: canonical text back to the object
+# ----------------------------------------------------------------------
+#: A bare ``i:``/``f:``/``E:`` token runs up to the next delimiter.
+_TOKEN = re.compile(r"[^;,\]}:{]*")
+#: A ``module.qualname`` class path or a field name.
+_NAME = re.compile(r"[\w.]*")
+_CONSTANTS = {"N": None, "T": True, "F": False}
+
+
+def decode_canonical(text: str):
+    """Rebuild the object :func:`canonical_text` rendered: ``decode(text(s)) == s``.
+
+    Covers the values a ``Scenario`` holds (no sets or bytes). Only
+    dataclasses and enums defined in ``repro.*`` modules are built; a
+    ``D:``/``E:`` tag naming anything else, any ``O:`` (plain object)
+    tag and malformed text raise ``ValueError``, so an entry cannot make
+    its reader import or construct foreign code. ``[...]`` renders lists
+    and tuples alike; a field gets the one its annotation declares (a
+    list if neither).
+    """
+    reader = _Reader(text)
+    try:
+        value = reader.value(None)
+    except (KeyError, TypeError, RecursionError) as exc:  # bad member, field, depth
+        raise ValueError(f"cannot rebuild {exc}") from exc
+    if reader.pos != len(text):
+        raise ValueError(f"trailing text at offset {reader.pos}")
+    return value
+
+
+class _Reader:
+    """Recursive-descent reader over one canonical text."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def expect(self, literal: str) -> None:
+        """Consume ``literal`` or raise."""
+        if not self.text.startswith(literal, self.pos):
+            raise ValueError(f"expected {literal!r} at offset {self.pos}")
+        self.pos += len(literal)
+
+    def more(self, end: str) -> bool:
+        """False (and ``end`` consumed) once the text reaches ``end``."""
+        done = self.text.startswith(end, self.pos)
+        self.pos += len(end) if done else 0
+        return not done
+
+    def token(self, pattern: re.Pattern = _TOKEN) -> str:
+        """Consume the (possibly empty) match of ``pattern``."""
+        match = pattern.match(self.text, self.pos)
+        self.pos = match.end()
+        return match.group()
+
+    def value(self, hint):
+        """Decode the value at the cursor; ``hint`` is its declared type."""
+        head = self.text[self.pos : self.pos + 2]
+        if head[:1] in _CONSTANTS:
+            self.pos += 1
+            return _CONSTANTS[head[:1]]
+        if head[:1] == "[":
+            self.pos += 1
+            kind, items = _arm(hint, (list, tuple)), []
+            while self.more("]"):
+                items.append(self.value(_item_hint(kind, len(items))))
+                self.expect(",")
+            return tuple(items) if (typing.get_origin(kind) or kind) is tuple else items
+        self.pos += 2
+        if head == "i:":
+            return int(self.token())
+        if head == "f:":
+            return float(self.token())
+        if head == "s:":
+            size = int(self.token())
+            self.expect(":")
+            if not 0 <= size <= len(self.text) - self.pos:
+                raise ValueError(f"bad string length at offset {self.pos}")
+            self.pos += size
+            return self.text[self.pos - size : self.pos]
+        if head == "E:":
+            path, _, member = self.token().rpartition(".")
+            return _repro_class(path, enum_tag=True)[member]
+        if head == "D:":
+            cls = _repro_class(self.token(_NAME), enum_tag=False)
+            hints, derived = _fields(cls)
+            kwargs = {}
+            self.expect("{")
+            while self.more("}"):
+                name = self.token(_NAME)
+                self.expect("=")
+                kwargs[name] = self.value(hints.get(name))
+                self.expect(";")
+            return cls(**{name: value for name, value in kwargs.items() if name not in derived})
+        if head == "M{":
+            kind, result = _arm(hint, (dict,)), {}
+            while self.more("}"):
+                key = self.value(_item_hint(kind, 0))
+                self.expect(":")
+                result[key] = self.value(_item_hint(kind, 1))
+                self.expect(";")
+            return result
+        raise ValueError(f"unknown tag {head!r} at offset {self.pos - 2}")
+
+
+@functools.lru_cache(maxsize=None)
+def _repro_class(path: str, enum_tag: bool) -> type:
+    """The enum (or dataclass) that a repro module defines as ``path``."""
+    if not path.startswith("repro."):
+        raise ValueError(f"refusing class outside repro.*: {path}")
+    try:
+        found = pkgutil.resolve_name(path)
+    except (ImportError, AttributeError, ValueError) as exc:
+        raise ValueError(f"no class {path}") from exc
+    defined_here = isinstance(found, type) and f"{found.__module__}.{found.__qualname__}" == path
+    if not defined_here or not (
+        issubclass(found, enum.Enum) if enum_tag else dataclasses.is_dataclass(found)
+    ):
+        raise ValueError(f"{path} is not a repro {'enum' if enum_tag else 'dataclass'}")
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple[dict, frozenset]:
+    """``cls``'s field annotations and the fields ``__init__`` does not take."""
+    try:
+        hints = typing.get_type_hints(cls)
+    except NameError:  # a name imported only for type checking: lists then
+        hints = {}
+    return hints, frozenset(f.name for f in dataclasses.fields(cls) if not f.init)
+
+
+def _arm(hint, origins: tuple):
+    """The member of ``hint`` (looking through unions) with an origin in ``origins``."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    for arm in typing.get_args(hint) if union else (hint,):
+        if arm in origins or typing.get_origin(arm) in origins:
+            return arm
+    return None
+
+
+def _item_hint(container, index: int):
+    """Declared type of element ``index`` of a container hint (None: unknown)."""
+    args = [arg for arg in typing.get_args(container) if arg is not Ellipsis]
+    return args[min(index, len(args) - 1)] if args else None

@@ -1,17 +1,19 @@
 """Compact, serializable scenario results.
 
 :class:`ScenarioSummary` is the unit the sweep executor moves across
-process boundaries and stores in the result cache. It carries the
-windowed stats, CDFs, fairness inputs and CPU report that the Table I /
-figure modules consume -- everything a :class:`~repro.core.runner.
-ScenarioResult` offers except the live :class:`~repro.core.host.Host`
-(event heap, controllers, tracer), which is deliberately and permanently
-excluded: hosts hold closures over the simulator and do not pickle, and
-a cached result must not pretend to offer live-object access.
+process boundaries and stores in the result cache. Its accessors are
+views over each app's :class:`~repro.metrics.collector.CompletionLog`
+(frozen: numpy columns); a :class:`~repro.core.runner.ScenarioResult`
+is a summary over the live logs plus the :class:`~repro.core.host.Host`
+that produced them. A summary offers everything a result does but the
+host (event heap, controllers, tracer), which is deliberately and
+permanently excluded: hosts hold closures over the simulator and do not
+pickle, and a cached result must not pretend to offer live-object access.
 
 The contract, enforced by unit tests:
 
-* a summary round-trips unchanged through ``pickle`` and JSON;
+* a summary round-trips unchanged through ``pickle``, JSON and the
+  result cache's columnar entries (:mod:`repro.exec.cache`);
 * two runs of the same seeded scenario -- in-process or in a spawned
   worker -- produce summaries whose :meth:`ScenarioSummary.content_equal`
   is True (``wall_seconds`` is wall-clock noise and excluded);
@@ -20,31 +22,19 @@ The contract, enforced by unit tests:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.cpu.accounting import CpuReport
 from repro.iorequest import GIB
-from repro.metrics.collector import AppWindowStats
+from repro.metrics.collector import AppWindowStats, CompletionLog, cgroup_stats, total_bytes
 from repro.metrics.fairness import weighted_jain_index
-from repro.metrics.latency import cdf, summarize_latencies
+from repro.metrics.latency import cdf
 
 #: Bump when the summary layout changes; folded into cache keys so stale
 #: cache entries from older layouts can never be returned.
 #: v2: added fault_counters (failure accounting under Scenario.faults).
 #: v3: added ctl_counters (control-plane accounting under Scenario.ctl).
 SUMMARY_SCHEMA_VERSION = 3
-
-
-@dataclass
-class AppSeries:
-    """One app's full completion log (the collector's view, frozen)."""
-
-    name: str
-    cgroup_path: str
-    times: list[float] = field(default_factory=list)
-    latencies: list[float] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
-    ops: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -59,7 +49,8 @@ class ScenarioSummary:
     device_scale: float
     t_start_us: float
     t_end_us: float
-    apps: dict[str, AppSeries]
+    #: Each app's frozen completion log (numpy columns), by app name.
+    apps: dict[str, CompletionLog]
     cpu: CpuReport
     work_conservation_violation: float
     events_processed: int = 0
@@ -79,7 +70,7 @@ class ScenarioSummary:
     schema_version: int = SUMMARY_SCHEMA_VERSION
 
     # ------------------------------------------------------------------
-    # Windows and series (mirrors ScenarioResult / MetricsCollector)
+    # Windows and series: views over the CompletionLog window queries
     # ------------------------------------------------------------------
     @property
     def window_us(self) -> float:
@@ -101,41 +92,19 @@ class ScenarioSummary:
 
     def series_of(self, app_name: str) -> tuple[list[float], list[int]]:
         """Completion series as ``(times_us, sizes_bytes)``."""
-        series = self.apps[app_name]
-        return series.times, series.sizes
+        return self.apps[app_name].series()
 
     def window_latencies(self, app_name: str, t_start: float, t_end: float) -> list[float]:
         """Latencies of completions inside ``[t_start, t_end)``."""
-        series = self.apps[app_name]
-        return [
-            lat
-            for time, lat in zip(series.times, series.latencies)
-            if t_start <= time < t_end
-        ]
+        return self.apps[app_name].window_latencies(t_start, t_end)
 
     def app_stats_window(self, app_name: str, t_start: float, t_end: float) -> AppWindowStats:
         """IOs/bytes/latency digest of one app over an arbitrary window."""
-        series = self.apps[app_name]
-        total_bytes = 0
-        ios = 0
-        latencies: list[float] = []
-        for time, lat, size in zip(series.times, series.latencies, series.sizes):
-            if t_start <= time < t_end:
-                total_bytes += size
-                ios += 1
-                latencies.append(lat)
-        return AppWindowStats(
-            name=app_name,
-            cgroup_path=series.cgroup_path,
-            ios=ios,
-            bytes=total_bytes,
-            window_us=t_end - t_start,
-            latency=summarize_latencies(latencies) if latencies else None,
-        )
+        return self.apps[app_name].stats(t_start, t_end)
 
     def app_stats(self, app_name: str) -> AppWindowStats:
         """:meth:`app_stats_window` over the full measurement window."""
-        return self.app_stats_window(app_name, self.t_start_us, self.t_end_us)
+        return self.apps[app_name].stats(self.t_start_us, self.t_end_us)
 
     def all_app_stats(self) -> dict[str, AppWindowStats]:
         """Full-window stats for every app, keyed by name."""
@@ -143,40 +112,20 @@ class ScenarioSummary:
 
     def cgroup_stats(self) -> dict[str, AppWindowStats]:
         """Per-cgroup stats: member apps merged, latencies pooled."""
-        by_group: dict[str, list[str]] = {}
-        for name in self.app_names():
-            by_group.setdefault(self.apps[name].cgroup_path, []).append(name)
-        merged: dict[str, AppWindowStats] = {}
-        for path, names in by_group.items():
-            stats_list = [self.app_stats(name) for name in names]
-            all_lat: list[float] = []
-            for name in names:
-                all_lat.extend(
-                    self.window_latencies(name, self.t_start_us, self.t_end_us)
-                )
-            merged[path] = AppWindowStats(
-                name=path,
-                cgroup_path=path,
-                ios=sum(s.ios for s in stats_list),
-                bytes=sum(s.bytes for s in stats_list),
-                window_us=self.window_us,
-                latency=summarize_latencies(all_lat) if all_lat else None,
-            )
-        return merged
+        return cgroup_stats(self.apps.values(), self.t_start_us, self.t_end_us)
 
     def latency_cdf(self, app_name: str, points: int = 200):
         """Empirical latency CDF of one app over the full window."""
-        samples = self.window_latencies(app_name, self.t_start_us, self.t_end_us)
-        return cdf(samples, points=points)
+        log = self.apps[app_name]
+        lo, hi = log.span(self.t_start_us, self.t_end_us)
+        return cdf(log.latencies[lo:hi], points=points)
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     def total_bytes(self, t_start: float, t_end: float) -> int:
         """Bytes completed by all apps inside the window."""
-        return sum(
-            self.app_stats_window(name, t_start, t_end).bytes for name in self.apps
-        )
+        return total_bytes(self.apps.values(), t_start, t_end)
 
     @property
     def aggregate_bandwidth_gib_s(self) -> float:
@@ -227,6 +176,14 @@ class ScenarioSummary:
     # ------------------------------------------------------------------
     # Equality and serialization
     # ------------------------------------------------------------------
+    def scalar_fields(self) -> dict:
+        """Every summary field but ``apps``, with ``cpu`` as a plain dict."""
+        doc = {name: getattr(self, name) for name in _FIELDS if name != "apps"}
+        doc["cpu"] = asdict(self.cpu)
+        doc["fault_counters"] = dict(self.fault_counters)
+        doc["ctl_counters"] = dict(self.ctl_counters)
+        return doc
+
     def content_dict(self) -> dict:
         """The deterministic content, excluding wall-clock noise."""
         doc = self.to_json_dict()
@@ -238,56 +195,36 @@ class ScenarioSummary:
         return self.content_dict() == other.content_dict()
 
     def to_json_dict(self) -> dict:
-        """Plain-dict form (JSON-serializable, nested dataclasses inlined)."""
-        return asdict(self)
+        """Plain-dict form (JSON-serializable; columns as number lists)."""
+        doc = self.scalar_fields()
+        doc["apps"] = {name: log.to_json_dict() for name, log in self.apps.items()}
+        return {name: doc[name] for name in _FIELDS}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ScenarioSummary":
         """Rebuild a summary from a :meth:`to_json_dict` document."""
         doc = dict(doc)
         doc["apps"] = {
-            name: AppSeries(**series) for name, series in doc["apps"].items()
+            name: CompletionLog(**series).frozen() for name, series in doc["apps"].items()
         }
         doc["cpu"] = CpuReport(**doc["cpu"])
         return cls(**doc)
 
 
+#: The summary's own fields (a ScenarioResult adds live objects).
+_FIELDS = tuple(f.name for f in fields(ScenarioSummary))
+
+
 def summarize(result) -> ScenarioSummary:
     """Distill a live :class:`~repro.core.runner.ScenarioResult`.
 
-    Reads the collector's raw per-app logs (via the public series/window
-    accessors), the CPU report and the engine counters; the host object
-    itself is dropped here and never travels further.
+    Freezes its completion logs into numpy columns (apps sorted by
+    name) and keeps the other measurements; the host object itself is
+    dropped here and never travels further.
     """
-    scenario = result.scenario
-    apps: dict[str, AppSeries] = {}
-    for name in result.collector.app_names():
-        times, latencies, sizes, ops = result.collector.full_log_of(name)
-        apps[name] = AppSeries(
-            name=name,
-            cgroup_path=result.collector.cgroup_of(name),
-            times=list(times),
-            latencies=list(latencies),
-            sizes=list(sizes),
-            ops=list(ops),
-        )
-    return ScenarioSummary(
-        scenario_name=scenario.name,
-        knob_label=scenario.knob.label,
-        seed=scenario.seed,
-        num_devices=scenario.num_devices,
-        cores=scenario.cores,
-        device_scale=scenario.device_scale,
-        t_start_us=result.t_start_us,
-        t_end_us=result.t_end_us,
-        apps=apps,
-        cpu=result.cpu,
-        work_conservation_violation=result.work_conservation_violation,
-        events_processed=result.events_processed,
-        fault_counters=dict(result.fault_counters),
-        ctl_counters=dict(result.ctl_counters),
-        wall_seconds=result.wall_seconds,
-    )
+    doc = {name: getattr(result, name) for name in _FIELDS}
+    doc["apps"] = {name: result.apps[name].frozen() for name in result.app_names()}
+    return ScenarioSummary(**doc)
 
 
 def run_scenario_summary(scenario) -> ScenarioSummary:

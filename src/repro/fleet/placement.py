@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 from repro.fleet.interference import InterferenceMatrix, slo_violation
 from repro.fleet.spec import FleetSpec
+from repro.metrics.latency import seq_sum
 from repro.sim.rng import RngStreams
 from repro.ssd.array import PLACEMENT_STREAM
 from repro.tune.slo import VIOLATION_CAP
@@ -138,11 +139,11 @@ def total_predicted_violation(
     evicted: tuple[str, ...] = (),
 ) -> float:
     """Fleet-wide predicted violation: devices plus eviction penalties."""
-    total = sum(
+    total = seq_sum(
         device_violation(matrix, fleet, residents)
         for residents in assignment.values()
     )
-    total += sum(eviction_penalty(fleet, name) for name in evicted)
+    total += seq_sum(eviction_penalty(fleet, name) for name in evicted)
     return total
 
 

@@ -39,6 +39,7 @@ from repro.fleet.interference import (
 )
 from repro.fleet.placement import Placement, eviction_penalty
 from repro.fleet.spec import FleetSpec
+from repro.metrics.latency import seq_sum
 from repro.tune.advisor import advise
 from repro.tune.evaluator import TuneEvaluator
 from repro.tune.slo import SloScore, SloSpec, score_summary
@@ -201,7 +202,7 @@ class PlacementReport:
     @property
     def fleet_score(self) -> float:
         """The fleet-wide SLO-violation score (lower is better)."""
-        return sum(device.total for device in self.devices) + self.eviction_total
+        return seq_sum(device.total for device in self.devices) + self.eviction_total
 
     @property
     def meets_slo(self) -> bool:
@@ -355,7 +356,7 @@ def evaluate_placement(
     return PlacementReport(
         placement=placement,
         devices=devices,
-        eviction_total=sum(
+        eviction_total=seq_sum(
             eviction_penalty(fleet, name) for name in placement.evicted
         ),
     )

@@ -54,10 +54,3 @@ def hierarchical_shares(
         shares[leaf.path] = share
     return shares
 
-
-def normalized_shares(shares: dict[str, float]) -> dict[str, float]:
-    """Scale shares so they sum to exactly 1 (guards fp drift)."""
-    total = sum(shares.values())
-    if total <= 0:
-        return {path: 0.0 for path in shares}
-    return {path: value / total for path, value in shares.items()}

@@ -8,7 +8,7 @@ measurement windows.
 from repro.metrics.latency import LatencySummary, cdf, percentile, summarize_latencies
 from repro.metrics.fairness import jain_index, weighted_jain_index
 from repro.metrics.timeseries import bandwidth_series
-from repro.metrics.collector import AppWindowStats, MetricsCollector
+from repro.metrics.collector import AppWindowStats, CompletionLog, MetricsCollector
 
 __all__ = [
     "percentile",
@@ -20,4 +20,5 @@ __all__ = [
     "bandwidth_series",
     "MetricsCollector",
     "AppWindowStats",
+    "CompletionLog",
 ]

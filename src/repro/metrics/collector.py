@@ -9,24 +9,14 @@ is evaluated at).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.iorequest import GIB, MIB, IoRequest, OpType
 from repro.metrics.latency import LatencySummary, summarize_latencies
-
-
-class _AppLog:
-    """Completion log of one app."""
-
-    __slots__ = ("cgroup_path", "times", "latencies", "sizes", "ops", "total_bytes")
-
-    def __init__(self, cgroup_path: str):
-        self.cgroup_path = cgroup_path
-        self.times: list[float] = []
-        self.latencies: list[float] = []
-        self.sizes: list[int] = []
-        self.ops: list[int] = []
-        self.total_bytes = 0
 
 
 @dataclass(frozen=True)
@@ -53,105 +43,129 @@ class AppWindowStats:
         return self.ios / (self.window_us / 1e6) if self.window_us > 0 else 0.0
 
 
+#: Completion columns in storage order, with their frozen dtypes.
+COLUMNS = (("times", "<f8"), ("latencies", "<f8"), ("sizes", "<i8"), ("ops", "<i1"))
+
+
+class CompletionLog:
+    """One app's completion columns (us, us, bytes, OpType), in completion order.
+
+    Live, the columns are lists that :meth:`MetricsCollector.on_complete`
+    appends to; :meth:`frozen` copies them once into numpy columns
+    (float64, float64, int64, int8) for summaries and the result cache.
+    Completion times never decrease (the host stamps ``sim.now``), so a
+    window is two bisections and each query costs O(log n + window) on
+    either form. This is the one implementation of window queries.
+    """
+
+    __slots__ = ("name", "cgroup_path", "times", "latencies", "sizes", "ops", "total_bytes")
+
+    def __init__(self, name, cgroup_path, times=None, latencies=None, sizes=None, ops=None):
+        self.name = name
+        self.cgroup_path = cgroup_path
+        self.times = [] if times is None else times
+        self.latencies = [] if latencies is None else latencies
+        self.sizes = [] if sizes is None else sizes
+        self.ops = [] if ops is None else ops
+        #: Running byte total of a live log (dynamic io.max reads it).
+        self.total_bytes = 0
+
+    def frozen(self) -> "CompletionLog":
+        """A copy with numpy columns (the live lists stay untouched)."""
+        columns = (np.array(getattr(self, name), dtype=dtype) for name, dtype in COLUMNS)
+        return CompletionLog(self.name, self.cgroup_path, *columns)
+
+    def span(self, t_start: float, t_end: float) -> tuple[int, int]:
+        """Row range ``[lo, hi)`` of the completions in ``[t_start, t_end)``."""
+        lo = bisect_left(self.times, t_start)
+        return lo, bisect_left(self.times, t_end, lo)
+
+    def window_latencies(self, t_start: float, t_end: float) -> list[float]:
+        """Latencies of the completions in ``[t_start, t_end)``."""
+        lo, hi = self.span(t_start, t_end)
+        return _listed(self.latencies[lo:hi])
+
+    def stats(self, t_start: float, t_end: float) -> AppWindowStats:
+        """IOs, bytes and latency digest over ``[t_start, t_end)``."""
+        lo, hi = self.span(t_start, t_end)
+        return AppWindowStats(
+            name=self.name,
+            cgroup_path=self.cgroup_path,
+            ios=hi - lo,
+            bytes=int(np.sum(self.sizes[lo:hi], dtype=np.int64)),
+            window_us=t_end - t_start,
+            latency=summarize_latencies(self.latencies[lo:hi]) if hi > lo else None,
+        )
+
+    def series(self) -> tuple[list[float], list[int]]:
+        """``(times, sizes)`` as lists of Python numbers."""
+        return _listed(self.times), _listed(self.sizes)
+
+    def to_json_dict(self) -> dict:
+        """Plain-dict form: the columns as lists of Python numbers."""
+        columns = {name: _listed(getattr(self, name)) for name, _ in COLUMNS}
+        return {"name": self.name, "cgroup_path": self.cgroup_path, **columns}
+
+
+def _listed(column) -> list:
+    """A column as a list of Python numbers (a live list as it is)."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def cgroup_stats(
+    logs: Iterable[CompletionLog], t_start: float, t_end: float
+) -> dict[str, AppWindowStats]:
+    """Per-cgroup stats over ``[t_start, t_end)``: apps merged, latencies pooled.
+
+    Groups appear in the order their first app appears in ``logs``.
+    """
+    members: dict[str, list[tuple[CompletionLog, int, int]]] = {}
+    for log in logs:
+        lo, hi = log.span(t_start, t_end)
+        members.setdefault(log.cgroup_path, []).append((log, lo, hi))
+    merged: dict[str, AppWindowStats] = {}
+    for path, spans in members.items():
+        ios = sum(hi - lo for _, lo, hi in spans)
+        pooled = [log.latencies[lo:hi] for log, lo, hi in spans if hi > lo]
+        merged[path] = AppWindowStats(
+            name=path,
+            cgroup_path=path,
+            ios=ios,
+            bytes=sum(int(np.sum(log.sizes[lo:hi], dtype=np.int64)) for log, lo, hi in spans),
+            window_us=t_end - t_start,
+            latency=summarize_latencies(np.concatenate(pooled)) if ios else None,
+        )
+    return merged
+
+
+def total_bytes(logs: Iterable[CompletionLog], t_start: float, t_end: float) -> int:
+    """Bytes completed by every log in ``[t_start, t_end)``."""
+    total = 0
+    for log in logs:
+        lo, hi = log.span(t_start, t_end)
+        total += int(np.sum(log.sizes[lo:hi], dtype=np.int64))
+    return total
+
+
 class MetricsCollector:
-    """Records completions for every app in a scenario."""
+    """Records completions for every app in a scenario (windows: :func:`cgroup_stats`)."""
 
     def __init__(self) -> None:
-        self._logs: dict[str, _AppLog] = {}
+        #: Completion log per app, in registration order.
+        self.logs: dict[str, CompletionLog] = {}
 
     def register_app(self, app_name: str, cgroup_path: str) -> None:
-        if app_name in self._logs:
+        if app_name in self.logs:
             raise ValueError(f"app {app_name!r} registered twice")
-        self._logs[app_name] = _AppLog(cgroup_path)
+        self.logs[app_name] = CompletionLog(app_name, cgroup_path)
 
     def on_complete(self, req: IoRequest) -> None:
-        log = self._logs[req.app_name]
+        log = self.logs[req.app_name]
         log.times.append(req.complete_time)
         log.latencies.append(req.latency_us)
         log.sizes.append(req.size)
         log.ops.append(int(req.op))
         log.total_bytes += req.size
-
-    # ------------------------------------------------------------------
-    # Window views
-    # ------------------------------------------------------------------
-    def app_names(self) -> list[str]:
-        return sorted(self._logs)
-
-    def cgroup_of(self, app_name: str) -> str:
-        return self._logs[app_name].cgroup_path
-
-    def window_latencies(self, app_name: str, t_start: float, t_end: float) -> list[float]:
-        """Raw latency samples completing within the window."""
-        log = self._logs[app_name]
-        return [
-            lat
-            for time, lat in zip(log.times, log.latencies)
-            if t_start <= time < t_end
-        ]
-
-    def app_stats(self, app_name: str, t_start: float, t_end: float) -> AppWindowStats:
-        """Window statistics for one app."""
-        log = self._logs[app_name]
-        total_bytes = 0
-        ios = 0
-        latencies: list[float] = []
-        for time, lat, size in zip(log.times, log.latencies, log.sizes):
-            if t_start <= time < t_end:
-                total_bytes += size
-                ios += 1
-                latencies.append(lat)
-        return AppWindowStats(
-            name=app_name,
-            cgroup_path=log.cgroup_path,
-            ios=ios,
-            bytes=total_bytes,
-            window_us=t_end - t_start,
-            latency=summarize_latencies(latencies) if latencies else None,
-        )
-
-    def cgroup_stats(self, t_start: float, t_end: float) -> dict[str, AppWindowStats]:
-        """Aggregated per-cgroup statistics (the fairness unit)."""
-        by_group: dict[str, list[AppWindowStats]] = {}
-        for app_name in self._logs:
-            stats = self.app_stats(app_name, t_start, t_end)
-            by_group.setdefault(stats.cgroup_path, []).append(stats)
-        merged: dict[str, AppWindowStats] = {}
-        for path, stats_list in by_group.items():
-            all_lat: list[float] = []
-            for stats in stats_list:
-                all_lat.extend(self.window_latencies(stats.name, t_start, t_end))
-            merged[path] = AppWindowStats(
-                name=path,
-                cgroup_path=path,
-                ios=sum(s.ios for s in stats_list),
-                bytes=sum(s.bytes for s in stats_list),
-                window_us=t_end - t_start,
-                latency=summarize_latencies(all_lat) if all_lat else None,
-            )
-        return merged
-
-    def total_bytes(self, t_start: float, t_end: float) -> int:
-        """Aggregate bytes completed by all apps in the window."""
-        return sum(
-            self.app_stats(app_name, t_start, t_end).bytes for app_name in self._logs
-        )
-
-    def series_of(self, app_name: str) -> tuple[list[float], list[int]]:
-        """Raw (completion_times, sizes) for time-series plotting."""
-        log = self._logs[app_name]
-        return log.times, log.sizes
-
-    def full_log_of(
-        self, app_name: str
-    ) -> tuple[list[float], list[float], list[int], list[int]]:
-        """Raw (times, latencies, sizes, ops) completion log of one app.
-
-        The export surface for :mod:`repro.exec.summary`: everything the
-        collector recorded, in completion order.
-        """
-        log = self._logs[app_name]
-        return log.times, log.latencies, log.sizes, log.ops
 
     def lifetime_bytes_of_cgroup(self, cgroup_path: str) -> int:
         """Total bytes completed by a cgroup's apps since the start.
@@ -160,7 +174,7 @@ class MetricsCollector:
         """
         return sum(
             log.total_bytes
-            for log in self._logs.values()
+            for log in self.logs.values()
             if log.cgroup_path == cgroup_path
         )
 
@@ -191,7 +205,7 @@ class MetricsCollector:
         periodic sampler pays O(new completions) per tick instead of
         rescanning every log.
         """
-        return _IoStatCursor(self._logs)
+        return _IoStatCursor(self.logs)
 
 
 class _IoStatCursor:
@@ -199,7 +213,7 @@ class _IoStatCursor:
 
     _FIELDS = ("rbytes", "wbytes", "rios", "wios")
 
-    def __init__(self, logs: dict[str, _AppLog]):
+    def __init__(self, logs: dict[str, CompletionLog]):
         self._logs = logs
         self._offsets: dict[str, int] = {name: 0 for name in logs}
         self._totals: dict[str, list[float]] = {}

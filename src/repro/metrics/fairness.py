@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.metrics.latency import seq_sum
+
 
 def jain_index(allocations: Sequence[float]) -> float:
     """Plain Jain's fairness index over non-negative allocations."""
@@ -22,11 +24,11 @@ def jain_index(allocations: Sequence[float]) -> float:
         raise ValueError("jain_index of empty allocation set")
     if any(value < 0 for value in allocations):
         raise ValueError("allocations must be non-negative")
-    total = sum(allocations)
+    total = seq_sum(allocations)
     if total == 0:
         # No one received anything; conventionally fair.
         return 1.0
-    square_sum = sum(value * value for value in allocations)
+    square_sum = seq_sum(value * value for value in allocations)
     return total * total / (len(allocations) * square_sum)
 
 

@@ -9,7 +9,39 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
+
+
+def seq_sum(values: Iterable[float] | np.ndarray) -> float:
+    """Left-to-right sum, the same bits on every supported Python.
+
+    3.12's ``sum()`` compensates float rounding; 3.10 and 3.11 do not.
+    Arrays go through ``cumsum`` (sequential); ``np.sum`` is pairwise.
+    """
+    if isinstance(values, np.ndarray):
+        return float(np.cumsum(values)[-1]) if values.size else 0.0
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+def _ranked(ordered, pct: float) -> float:
+    """The ``pct`` percentile of sorted, non-empty ``ordered``."""
+    if len(ordered) == 1:
+        return float(ordered[0])
+    rank = (pct / 100.0) * (len(ordered) - 1)
+    low = math.floor(rank)
+    high = math.ceil(rank)
+    if low == high:
+        return float(ordered[low])
+    frac = rank - low
+    # This form is monotone and never exceeds ordered[high], unlike the
+    # (1-f)*a + f*b form which can overshoot by one ulp.
+    a = float(ordered[low])
+    return a + (float(ordered[high]) - a) * frac
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -22,32 +54,22 @@ def percentile(samples: Sequence[float], pct: float) -> float:
         raise ValueError("percentile of empty sample set")
     if not 0.0 <= pct <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (pct / 100.0) * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    # This form is monotone and never exceeds ordered[high], unlike the
-    # (1-f)*a + f*b form which can overshoot by one ulp.
-    return ordered[low] + (ordered[high] - ordered[low]) * frac
+    return _ranked(sorted(samples), pct)
 
 
 def cdf(samples: Sequence[float], points: int = 200) -> tuple[list[float], list[float]]:
     """Empirical CDF resampled at ``points`` evenly spaced probabilities.
 
     Returns ``(latencies, cumulative_probabilities)`` -- the paper's
-    Fig. 3 axes.
+    Fig. 3 axes. ``samples`` may be a float64 array; it is sorted once.
     """
-    if not samples:
+    if len(samples) == 0:
         raise ValueError("cdf of empty sample set")
     if points < 2:
         raise ValueError(f"cdf needs >= 2 points, got {points}")
+    ordered = np.sort(np.asarray(samples, dtype=np.float64))
     probs = [i / (points - 1) for i in range(points)]
-    values = [percentile(samples, p * 100.0) for p in probs]
+    values = [_ranked(ordered, p * 100.0) for p in probs]
     return values, probs
 
 
@@ -71,17 +93,20 @@ class LatencySummary:
         )
 
 
-def summarize_latencies(samples: Sequence[float]) -> LatencySummary:
-    """Build a :class:`LatencySummary`; raises on an empty sample set."""
-    if not samples:
+def summarize_latencies(samples: Sequence[float] | np.ndarray) -> LatencySummary:
+    """Build a :class:`LatencySummary`; raises on an empty sample set.
+
+    Sorts once; the mean is the :func:`seq_sum` of the sorted samples.
+    """
+    if len(samples) == 0:
         raise ValueError("cannot summarize an empty sample set")
-    ordered = sorted(samples)
+    ordered = np.sort(np.asarray(samples, dtype=np.float64))
     return LatencySummary(
         count=len(ordered),
-        mean_us=sum(ordered) / len(ordered),
-        p50_us=percentile(ordered, 50.0),
-        p90_us=percentile(ordered, 90.0),
-        p95_us=percentile(ordered, 95.0),
-        p99_us=percentile(ordered, 99.0),
-        max_us=ordered[-1],
+        mean_us=seq_sum(ordered) / len(ordered),
+        p50_us=_ranked(ordered, 50.0),
+        p90_us=_ranked(ordered, 90.0),
+        p95_us=_ranked(ordered, 95.0),
+        p99_us=_ranked(ordered, 99.0),
+        max_us=float(ordered[-1]),
     )

@@ -11,23 +11,24 @@ module turns them into the ``(X, y)`` matrices
 Loading is **defensive and deterministic**: entries are read in sorted
 path order (so identical cache contents produce identical corpora,
 hence bit-identical refits), and anything unusable is *counted and
-skipped*, never fatal -- truncated gzip, pickle garbage, pre-v4 schema
-versions, and entries written before the cache stored scenarios (see
-:meth:`repro.exec.cache.ResultCache.put`) all become
-:class:`CorpusStats` counters.
+skipped*, never fatal -- truncated or bit-flipped entries, scenario text
+the decoder refuses, other schema versions, and entries stored without
+a scenario (see :meth:`repro.exec.cache.ResultCache.put`) all become
+:class:`CorpusStats` counters. Entries are read through
+:meth:`~repro.exec.cache.ResultCache.read_entry`; each scenario is
+rebuilt from its stored canonical text by
+:func:`~repro.exec.cachekey.decode_canonical`.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.config import Scenario
 from repro.exec.cache import ResultCache
-from repro.exec.cachekey import SCHEMA_VERSION
+from repro.exec.cachekey import decode_canonical
 from repro.exec.summary import ScenarioSummary
 from repro.surrogate.features import (
     FEATURE_SCHEMA_VERSION,
@@ -52,9 +53,9 @@ class CorpusStats:
     entries_seen: int = 0
     #: Entries that contributed at least one training row.
     entries_loaded: int = 0
-    #: Unreadable files (truncated gzip, pickle garbage, not a dict).
+    #: Unreadable files (truncated, bit-flipped, undecodable scenario).
     skipped_corrupt: int = 0
-    #: Entries with a non-current cache schema version (pre-v4 etc.).
+    #: Entries with a non-current cache schema version.
     skipped_schema: int = 0
     #: Valid entries written before scenarios were stored alongside
     #: summaries (they cache fine but cannot be featurized).
@@ -179,21 +180,18 @@ def read_entry(path: Path) -> tuple[str, Scenario | None, ScenarioSummary | None
     :meth:`~repro.exec.cache.ResultCache.get`, this never unlinks
     anything -- the corpus is a read-only consumer of the cache.
     """
-    try:
-        with gzip.open(path, "rb") as fh:
-            entry = pickle.load(fh)
-        if not isinstance(entry, dict) or not isinstance(
-            entry.get("summary"), ScenarioSummary
-        ):
-            return "corrupt", None, None
-    except Exception:
-        return "corrupt", None, None
-    if entry.get("schema_version") != SCHEMA_VERSION:
-        return "schema", None, None
-    scenario = entry.get("scenario")
-    if not isinstance(scenario, Scenario):
+    status, summary, text = ResultCache.read_entry(path)
+    if status != "ok":
+        return status, None, None
+    if text is None:
         return "no_scenario", None, None
-    return "ok", scenario, entry["summary"]
+    try:
+        scenario = decode_canonical(text)
+    except Exception:  # refused or malformed text, or a constructor's own check
+        return "corrupt", None, None
+    if not isinstance(scenario, Scenario):
+        return "corrupt", None, None
+    return "ok", scenario, summary
 
 
 def load_corpus(cache_dir: Path | str | None = None) -> Corpus:

@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from repro.exec.summary import ScenarioSummary
+from repro.metrics.latency import seq_sum
 from repro.ssd.model import SsdModel, describe_model_dict
 
 #: Per-term ceiling on the normalized violation. A cgroup that completes
@@ -210,7 +211,7 @@ class SloScore:
 
     def _family_total(self, kind: str) -> float:
         """Sum the violations of every term of the given kind."""
-        return sum(term.violation for term in self.terms if term.kind == kind)
+        return seq_sum(term.violation for term in self.terms if term.kind == kind)
 
     @property
     def latency_total(self) -> float:

@@ -16,9 +16,10 @@ The headline guarantees:
 """
 
 import dataclasses
-import gzip
+import json
 import os
-import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.exec import (
     SweepError,
     SweepExecutor,
     SweepFailure,
+    SCHEMA_VERSION,
     run_scenario_summary,
     scenario_key,
 )
@@ -169,7 +171,7 @@ class TestCaching:
         key = scenario_key(scenario)
         path = cache.path_for(key)
         assert path.is_file()
-        path.write_bytes(b"this is not a gzip pickle")
+        path.write_bytes(b"this is not a cache entry")
         fresh = ResultCache(tmp_path / "cache")
         with SweepExecutor(max_workers=1, cache=fresh) as pool:
             recomputed = pool.run_one(scenario)
@@ -179,14 +181,15 @@ class TestCaching:
         # The corrupt file was dropped and replaced by the re-run's store.
         assert fresh.stats.stores == 1
 
-    def test_old_schema_entry_is_dropped_not_mis_hit(self, tmp_path):
+    def test_old_schema_entry_is_dropped_not_mis_hit(self, tmp_path, monkeypatch):
         """The schema-salt contract: an entry written under an older
         ``SCHEMA_VERSION`` must be unlinked and treated as a miss, never
         returned as a hit — even when its key and payload are otherwise
         perfectly valid."""
+        from repro.exec import cache as cache_module
         from repro.exec.cachekey import SCHEMA_VERSION
 
-        assert SCHEMA_VERSION >= 4  # v4 added Scenario.ctl / arrival phases
+        assert SCHEMA_VERSION >= 5  # v5: columnar entries replace pickles
         scenario = tiny_scenario("schema-drift")
         cache = ResultCache(tmp_path / "cache")
         with SweepExecutor(max_workers=1, cache=cache) as pool:
@@ -195,11 +198,9 @@ class TestCaching:
         path = cache.path_for(key)
         # Rewrite the entry as if an older release had produced it: same
         # key, same genuine summary payload, previous schema version.
-        with gzip.open(path, "rb") as fh:
-            entry = pickle.load(fh)
-        entry["schema_version"] = SCHEMA_VERSION - 1
-        with gzip.open(path, "wb") as fh:
-            pickle.dump(entry, fh)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+            cache.put(key, genuine, scenario=scenario)
         fresh = ResultCache(tmp_path / "cache")
         assert fresh.get(key) is None  # dropped, not mis-hit
         assert fresh.stats.corrupt == 1
@@ -216,8 +217,13 @@ class TestCaching:
         key = scenario_key(scenario)
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
-        with gzip.open(path, "wb") as fh:
-            pickle.dump({"schema_version": 1, "key": key, "summary": "nope"}, fh)
+        # A well-formed entry (magic, CRC, header) whose summary is a string.
+        header = json.dumps(
+            {"apps": [], "key": key, "scenario": None, "schema_version": SCHEMA_VERSION,
+             "summary": "nope"}
+        ).encode()
+        body = struct.pack("<Q", len(header)) + header
+        path.write_bytes(b"isolbench-entry\n" + struct.pack("<I", zlib.crc32(body)) + body)
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
 

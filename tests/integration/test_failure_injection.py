@@ -48,7 +48,7 @@ class TestGcPauses:
             )
             injector.start()
         host.run()
-        return host.collector.app_stats("lc", 0.1e6, 0.3e6)
+        return host.collector.logs["lc"].stats(0.1e6, 0.3e6)
 
     def test_gc_pauses_inflate_tail_latency(self):
         clean = self.run_lc_with_pauses(0.0)

@@ -140,5 +140,5 @@ class TestResultPlumbing:
             windows=(ActivityWindow(0.1e6),),
         )
         result = run_scenario(scenario(NoneKnob(), apps=[spec]))
-        early = result.collector.app_stats("b", 0.0, 0.09e6)
+        early = result.app_stats_window("b", 0.0, 0.09e6)
         assert early.ios == 0

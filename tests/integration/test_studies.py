@@ -17,18 +17,21 @@ Regenerate a golden after an intentional simulator change::
     PYTHONPATH=src python -m tests.integration.test_studies table1 quick
 """
 
+import builtins
 import importlib
 import json
+import math
 import os
 import pathlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import pytest
 
 from repro.core.studies import STUDIES
-from repro.exec import ExecutorStats, ResultCache, SweepExecutor
+from repro.exec import ExecutorStats, ResultCache, SweepExecutor, canonical_text, scenario_key
+from repro.exec.cachekey import decode_canonical
 from repro.tools.cli import main
 
 DATA_DIR = pathlib.Path(__file__).parent.parent / "data"
@@ -391,6 +394,48 @@ def cold_run(tmp_path_factory):
     return get
 
 
+@dataclass
+class WarmRun:
+    """A study's serial re-run on its cold run's cache."""
+
+    result: object
+    stats: ExecutorStats
+    #: Every scenario the study handed to ``SweepExecutor.run``.
+    submitted: list = field(default_factory=list)
+
+
+def _rerun_warm(name: str, cold: ColdRun, submitted: list | None = None):
+    """Re-run ``name`` serially on ``cold``'s cache, recording submissions."""
+    study = STUDIES[name]
+    original = SweepExecutor.run
+
+    def recording(self, scenarios):
+        if submitted is not None:
+            submitted.extend(scenarios)
+        return original(self, scenarios)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SweepExecutor, "run", recording)
+        with SweepExecutor(max_workers=1, cache=ResultCache(cold.cache_dir)) as warm:
+            result = study.run(study.settings("mini"), warm)
+    return result, warm.stats
+
+
+@pytest.fixture(scope="module")
+def warm_run(cold_run):
+    """``warm_run(name)``: the study re-run on its filled cache, run once."""
+    runs: dict[str, WarmRun] = {}
+
+    def get(name: str) -> WarmRun:
+        if name not in runs:
+            submitted: list = []
+            result, stats = _rerun_warm(name, cold_run(name), submitted)
+            runs[name] = WarmRun(result, stats, submitted)
+        return runs[name]
+
+    return get
+
+
 def test_every_study_has_expectations():
     assert list(EXPECTED) == list(STUDIES)
 
@@ -407,17 +452,94 @@ def test_acceptance_bar(name, bar, cold_run, tmp_path):
 
 
 @pytest.mark.parametrize("name", STUDIES)
-def test_warm_cache_executes_zero_scenarios(name, cold_run):
-    cold = cold_run(name)
-    study = STUDIES[name]
-    with SweepExecutor(max_workers=1, cache=ResultCache(cold.cache_dir)) as warm:
-        rerun = study.run(study.settings("mini"), warm)
+def test_warm_cache_executes_zero_scenarios(name, cold_run, warm_run):
+    cold, warm = cold_run(name), warm_run(name)
     assert warm.stats.executed == warm.stats.failed == 0
     assert warm.stats.cached == (
         cold.stats.executed + cold.stats.cached + cold.stats.deduped
     )
-    assert rerun.render() == cold.result.render()
-    assert rerun.to_json_dict() == cold.result.to_json_dict()
+    assert warm.result.render() == cold.result.render()
+    assert warm.result.to_json_dict() == cold.result.to_json_dict()
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_decoder_rebuilds_every_study_scenario(name, warm_run):
+    """Each scenario the study builds survives the cache's text form."""
+    texts = {canonical_text(scenario): scenario for scenario in warm_run(name).submitted}
+    assert texts
+    for text, scenario in texts.items():
+        decoded = decode_canonical(text)
+        assert decoded == scenario  # dataclass equality: a tuple is not a list
+        assert canonical_text(decoded) == text
+        assert scenario_key(decoded) == scenario_key(scenario)
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_cache_files_hold_no_pickle(name, cold_run):
+    """Every file a study leaves behind is a whole columnar entry."""
+    files = [path for path in cold_run(name).cache_dir.rglob("*") if path.is_file()]
+    assert files
+    for path in files:
+        data = path.read_bytes()
+        assert path.suffix == ".entry", path
+        assert not data.startswith(b"\x1f\x8b"), f"{path}: a gzip member"
+        assert not data.startswith(b"\x80"), f"{path}: a pickle stream"
+        # Magic, checksum, JSON header and columns account for every byte.
+        assert ResultCache.read_entry(path)[0] == "ok", path
+
+
+def _sum_312(iterable, /, start=0):
+    """``sum()`` as Python 3.12 computes it: Neumaier-compensated floats."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(result) is not int:
+                break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif type(item) in (int, bool):
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result
+
+
+@pytest.mark.parametrize("name", ["table1", "d5"])
+def test_scoring_is_the_same_on_every_python(name, cold_run):
+    """Scores do not depend on the interpreter's ``sum()``.
+
+    Python 3.12 compensates float sums; 3.10 and 3.11 do not. The study
+    is re-scored from its filled cache with 3.12's ``sum`` emulated and
+    must give the same JSON as the cold run.
+    """
+    cold = cold_run(name)
+    assert _sum_312([1e16, 1.0, -1e16]) == 1.0  # compensated, unlike 3.11
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "sum", _sum_312)
+        result, stats = _rerun_warm(name, cold)
+    assert stats.executed == 0
+    assert json.dumps(result.to_json_dict(), sort_keys=True) == json.dumps(
+        cold.result.to_json_dict(), sort_keys=True
+    )
 
 
 @pytest.mark.parametrize("name", STUDIES)

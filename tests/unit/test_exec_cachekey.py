@@ -23,7 +23,12 @@ from repro.core.config import (
     Scenario,
 )
 from repro.ctl import CtlConfig, IoMaxCtlParams, PidParams
-from repro.exec.cachekey import SCHEMA_VERSION, canonical_text, scenario_key
+from repro.exec.cachekey import (
+    SCHEMA_VERSION,
+    canonical_text,
+    decode_canonical,
+    scenario_key,
+)
 from repro.faults import get_fault_plan
 from repro.ssd.presets import samsung_980pro_like
 from repro.tune.slo import GroupSlo, SloSpec
@@ -153,6 +158,58 @@ class TestScenarioKey:
 
     def test_salt_includes_schema_version(self):
         assert f"isolbench-cache:v{SCHEMA_VERSION}" in canonical_saltless_probe()
+
+
+class TestDecode:
+    """``decode_canonical`` inverts the rendering, inside an allowlist."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            base_scenario(),
+            base_scenario(ctl=_ctl(), apps=[_phased_app(), lc_app("lc0", "/tenants/b")]),
+            base_scenario(faults=get_fault_plan("gc-storm")),
+        ],
+        ids=["bfq", "ctl-phased", "faults"],
+    )
+    def test_round_trip_restores_types(self, scenario):
+        text = canonical_text(scenario)
+        decoded = decode_canonical(text)
+        assert decoded == scenario
+        assert canonical_text(decoded) == text
+        assert scenario_key(decoded) == scenario_key(scenario)
+
+    def test_tuples_and_lists_come_back_as_declared(self):
+        decoded = decode_canonical(canonical_text(base_scenario(apps=[_phased_app()])))
+        assert type(decoded.apps) is list
+        assert type(decoded.apps[0].arrival_phases) is tuple
+
+    def test_scalars_and_containers(self):
+        for value in (None, True, 0, -7, 0.1, math.inf, "a;b}:c", {"k": 1.5, 2: [3]}):
+            assert decode_canonical(canonical_text(value)) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "D:os.path.Foo{}",  # dataclass tag outside repro.*
+            "E:enum.Enum.X",  # enum tag outside repro.*
+            "O:collections.OrderedDict{}",  # plain-object tag outside repro.*
+            "D:reprox.core.config.Scenario{}",  # look-alike package name
+            "O:repro.core.config.KnobConfig{}",  # repro class, not a dataclass
+            "D:repro.core.config.JobSpec{}",  # imported there, defined elsewhere
+            "E:repro.core.config.Scenario.X",  # repro dataclass, not an enum
+            "D:repro.core.config.NoneKnob{bogus=i:1;}",  # unknown field
+            "E:repro.iorequest.OpType.NOPE",  # unknown member
+            "D:repro.core.config.NoneKnob{",  # truncated
+            "i:1,",  # trailing text
+            "s:9:abc",  # length past the end
+            "Q:1",  # unknown tag
+            pytest.param("[" * 5000, id="nesting-past-the-recursion-limit"),
+        ],
+    )
+    def test_refuses(self, text):
+        with pytest.raises(ValueError):
+            decode_canonical(text)
 
 
 def canonical_saltless_probe() -> str:

@@ -92,9 +92,7 @@ class TestAccessorParity:
         for name in summary.app_names():
             assert summary.window_latencies(
                 name, result.t_start_us, result.t_end_us
-            ) == result.collector.window_latencies(
-                name, result.t_start_us, result.t_end_us
-            )
+            ) == result.window_latencies(name, result.t_start_us, result.t_end_us)
 
     def test_bandwidth_and_fairness(self, run_pair):
         result, summary = run_pair
@@ -106,7 +104,7 @@ class TestAccessorParity:
     def test_series_of(self, run_pair):
         result, summary = run_pair
         for name in summary.app_names():
-            assert summary.series_of(name) == result.collector.series_of(name)
+            assert summary.series_of(name) == result.series_of(name)
 
     def test_counters_and_labels(self, run_pair):
         result, summary = run_pair

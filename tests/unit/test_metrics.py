@@ -1,9 +1,13 @@
 """Unit tests for the metrics layer."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.iorequest import IoRequest, MIB, OpType, Pattern
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import CompletionLog, MetricsCollector, cgroup_stats, total_bytes
 from repro.metrics.fairness import jain_index, weighted_jain_index
 from repro.metrics.latency import cdf, percentile, summarize_latencies
 from repro.metrics.timeseries import bandwidth_series, time_to_reach
@@ -151,7 +155,7 @@ class TestCollector:
         collector.on_complete(_completed_request("a", "/g", 100.0, 10.0, 4096))
         collector.on_complete(_completed_request("a", "/g", 200.0, 20.0, 4096))
         collector.on_complete(_completed_request("a", "/g", 900.0, 30.0, 4096))
-        stats = collector.app_stats("a", 0.0, 500.0)
+        stats = collector.logs["a"].stats(0.0, 500.0)
         assert stats.ios == 2
         assert stats.bytes == 8192
         assert stats.latency.count == 2
@@ -159,7 +163,7 @@ class TestCollector:
     def test_empty_window_has_no_latency(self):
         collector = MetricsCollector()
         collector.register_app("a", "/g")
-        stats = collector.app_stats("a", 0.0, 100.0)
+        stats = collector.logs["a"].stats(0.0, 100.0)
         assert stats.ios == 0
         assert stats.latency is None
         assert stats.bandwidth_mib_s == 0.0
@@ -172,7 +176,7 @@ class TestCollector:
         collector.on_complete(_completed_request("a1", "/g", 10.0, 1.0, 100))
         collector.on_complete(_completed_request("a2", "/g", 20.0, 1.0, 100))
         collector.on_complete(_completed_request("b", "/h", 30.0, 1.0, 100))
-        groups = collector.cgroup_stats(0.0, 100.0)
+        groups = cgroup_stats(collector.logs.values(), 0.0, 100.0)
         assert groups["/g"].ios == 2
         assert groups["/g"].bytes == 200
         assert groups["/h"].ios == 1
@@ -181,12 +185,86 @@ class TestCollector:
         collector = MetricsCollector()
         collector.register_app("a", "/g")
         collector.on_complete(_completed_request("a", "/g", 10.0, 1.0, 100))
-        assert collector.total_bytes(0.0, 100.0) == 100
+        assert total_bytes(collector.logs.values(), 0.0, 100.0) == 100
 
     def test_bandwidth_computation(self):
         collector = MetricsCollector()
         collector.register_app("a", "/g")
         collector.on_complete(_completed_request("a", "/g", 10.0, 1.0, MIB))
-        stats = collector.app_stats("a", 0.0, 1e6)  # 1 MiB in 1 s
+        stats = collector.logs["a"].stats(0.0, 1e6)  # 1 MiB in 1 s
         assert stats.bandwidth_mib_s == pytest.approx(1.0)
         assert stats.iops == pytest.approx(1.0)
+
+
+def _loop_window(logs, t_start, t_end):
+    """Reference: the per-completion window walk the collector used to do.
+
+    Returns ``(ios, bytes, summary fields or None)`` over the pooled logs,
+    with the mean added left to right over the sorted samples and the
+    percentiles interpolated as ``percentile`` documents.
+    """
+    ios, total, window = 0, 0, []
+    for log in logs:
+        for time, latency, size in zip(log.times, log.latencies, log.sizes):
+            if t_start <= time < t_end:
+                ios += 1
+                total += size
+                window.append(latency)
+    if not window:
+        return ios, total, None
+    ordered = sorted(window)
+    running = 0.0
+    for value in ordered:
+        running += value
+
+    def ranked(pct):
+        rank = pct / 100.0 * (len(ordered) - 1)
+        low, high = math.floor(rank), math.ceil(rank)
+        if low == high:
+            return ordered[low]
+        return ordered[low] + (ordered[high] - ordered[low]) * (rank - low)
+
+    summary = (len(ordered), running / len(ordered), ranked(50.0), ranked(90.0),
+               ranked(95.0), ranked(99.0), ordered[-1])
+    return ios, total, summary
+
+
+def _fields(stats):
+    latency = stats.latency
+    digest = None if latency is None else (
+        latency.count, latency.mean_us, latency.p50_us, latency.p90_us,
+        latency.p95_us, latency.p99_us, latency.max_us,
+    )
+    return stats.ios, stats.bytes, digest
+
+
+_completions = st.lists(
+    st.tuples(
+        st.floats(0.0, 1000.0),
+        st.floats(0.1, 1e4),
+        st.integers(1, 1 << 20),
+        st.sampled_from([int(OpType.READ), int(OpType.WRITE)]),
+    ),
+    max_size=60,
+)
+
+
+def _log(name, group, rows):
+    rows = sorted(rows, key=lambda row: row[0])  # completion times never decrease
+    return CompletionLog(name, group, *(list(column) for column in zip(*rows)) if rows else ())
+
+
+class TestCompletionLogMatchesTheLoop:
+    """Bisected windows give exactly what walking every completion gave."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_completions, _completions, st.floats(-10.0, 1010.0), st.floats(0.0, 1100.0))
+    def test_app_and_pooled_group_windows(self, rows_a, rows_b, t_start, width):
+        t_end = t_start + width
+        live = [_log("a", "/g", rows_a), _log("b", "/g", rows_b)]
+        for logs in (live, [log.frozen() for log in live]):
+            for log in logs:
+                assert _fields(log.stats(t_start, t_end)) == _loop_window([log], t_start, t_end)
+            (group,) = cgroup_stats(logs, t_start, t_end).values()
+            assert _fields(group) == _loop_window(live, t_start, t_end)
+            assert total_bytes(logs, t_start, t_end) == group.bytes

@@ -43,8 +43,7 @@ class TestSpanInvariants:
     def test_spans_recorded_for_every_completion(self, traced_result):
         trace = traced_result.trace
         total_ios = sum(
-            len(traced_result.collector.series_of(name)[0])
-            for name in traced_result.collector.app_names()
+            len(traced_result.series_of(name)[0]) for name in traced_result.app_names()
         )
         assert len(trace.spans) == total_ios > 0
 

@@ -1,15 +1,14 @@
 """Unit tests: corpus loading is defensive, deterministic, and counted.
 
 The cache directory is shared, long-lived state, so the loader must
-survive anything it finds there: truncated gzip, pickle garbage,
-pre-v4 schema entries, and entries written before scenarios were
-stored. Each is counted and skipped, never fatal -- and when the
-survivors are too few, ``--surrogate=auto`` falls back to pure search
-with an explicit notice instead of fitting on noise.
+survive anything it finds there: truncated entries, garbage bytes,
+other-schema entries, and entries written without a scenario. Each is
+counted and skipped, never fatal -- and when the survivors are too few,
+``--surrogate=auto`` falls back to pure search with an explicit notice
+instead of fitting on noise.
 """
 
-import gzip
-import pickle
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -17,7 +16,9 @@ import pytest
 
 from repro.core.config import NoneKnob, Scenario
 from repro.core.d6_autotune import mini_settings, resolve_surrogate_model
+from repro.exec import cache as cache_module
 from repro.exec.cache import ResultCache
+from repro.exec.cachekey import SCHEMA_VERSION, scenario_key
 from repro.exec.summary import run_scenario_summary
 from repro.surrogate.corpus import (
     MIN_CORPUS_ROWS,
@@ -80,22 +81,21 @@ class TestDefensiveSkips:
     def test_corrupt_entry_counted_not_fatal(self, tmp_path, pair):
         cache = seed_cache(tmp_path, pair, n=2)
         good = cache.entries()[0]
-        truncated = good.parent / ("0" * 63 + "f.pkl.gz")
+        truncated = good.parent / ("0" * 63 + "f.entry")
         truncated.write_bytes(good.read_bytes()[:40])
-        garbage = good.parent / ("0" * 63 + "e.pkl.gz")
-        with gzip.open(garbage, "wb") as fh:
-            fh.write(b"not a pickle at all")
+        garbage = good.parent / ("0" * 63 + "e.entry")
+        garbage.write_bytes(b"not a cache entry at all")
         corpus = load_corpus(cache.root)
         assert corpus.stats.skipped_corrupt == 2
         assert corpus.stats.entries_loaded == 2
         assert corpus.n_rows == 2 * len(scenario_cgroups(pair[0]))
 
-    def test_old_schema_entry_skipped(self, tmp_path, pair):
+    def test_old_schema_entry_skipped(self, tmp_path, pair, monkeypatch):
         cache = seed_cache(tmp_path, pair, n=1)
         _, summary = pair
-        stale = cache.entries()[0].parent / ("0" * 63 + "d.pkl.gz")
-        with gzip.open(stale, "wb") as fh:
-            pickle.dump({"schema_version": 3, "summary": summary}, fh)
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "SCHEMA_VERSION", SCHEMA_VERSION - 1)
+            cache.put("0" * 63 + "d", summary)
         corpus = load_corpus(cache.root)
         assert corpus.stats.skipped_schema == 1
         assert corpus.stats.entries_loaded == 1
@@ -113,13 +113,24 @@ class TestDefensiveSkips:
         scenario, summary = pair
         cache = seed_cache(tmp_path, pair, n=1)
         assert read_entry(cache.entries()[0])[0] == "ok"
-        bad = tmp_path / "bad.pkl.gz"
+        bad = tmp_path / "bad.entry"
         bad.write_bytes(b"\x1f\x8b garbage")
         assert read_entry(bad)[0] == "corrupt"
 
+    def test_scenario_text_the_decoder_refuses_is_corrupt(self, tmp_path, pair, monkeypatch):
+        scenario, summary = pair
+        cache = ResultCache(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "canonical_text", lambda _: "D:os.path.Foo{}")
+            cache.put("0" * 64, summary, scenario=scenario)
+        path = cache.entries()[0]
+        assert read_entry(path)[0] == "corrupt"
+        assert path.exists()
+        assert load_corpus(cache.root).stats.skipped_corrupt == 1
+
     def test_stats_render_mentions_skips(self, tmp_path, pair):
         cache = seed_cache(tmp_path, pair, n=1)
-        (cache.entries()[0].parent / ("0" * 63 + "c.pkl.gz")).write_bytes(b"xx")
+        (cache.entries()[0].parent / ("0" * 63 + "c.entry")).write_bytes(b"xx")
         text = str(load_corpus(cache.root).stats)
         assert "corrupt=1" in text
 
@@ -134,6 +145,20 @@ class TestSplitsAndPairs:
         assert held.rows == corpus.rows[3::4]
         with pytest.raises(ValueError):
             holdout_split(corpus, every=1)
+
+    def test_cache_round_trip_gives_the_in_memory_corpus(self, tmp_path, pair):
+        scenario, summary = pair
+        pairs = [
+            (dataclasses.replace(scenario, name=f"corpus-test-{i}", seed=i), summary)
+            for i in range(3)
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        for one, result in pairs:
+            cache.put(scenario_key(one), result, scenario=one)
+        loaded = load_corpus(cache.root)
+        in_memory = corpus_from_pairs(sorted(pairs, key=lambda item: scenario_key(item[0])))
+        assert loaded.n_rows == in_memory.n_rows == 3 * len(scenario_cgroups(scenario))
+        assert loaded.digest() == in_memory.digest()
 
     def test_corpus_from_pairs_preserves_order(self, pair):
         scenario, summary = pair

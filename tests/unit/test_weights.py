@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cgroups.hierarchy import CgroupHierarchy
-from repro.iocontrol.weights import hierarchical_shares, normalized_shares
+from repro.iocontrol.weights import hierarchical_shares
 
 
 @pytest.fixture
@@ -67,12 +67,3 @@ class TestHierarchicalShares:
         shares = hierarchical_shares(leaves, weight_of_io)
         assert sum(shares.values()) == pytest.approx(1.0)
 
-
-class TestNormalizedShares:
-    def test_rescales_to_one(self):
-        shares = normalized_shares({"a": 0.2, "b": 0.2})
-        assert shares["a"] == pytest.approx(0.5)
-
-    def test_all_zero_stays_zero(self):
-        shares = normalized_shares({"a": 0.0, "b": 0.0})
-        assert shares == {"a": 0.0, "b": 0.0}
