@@ -244,11 +244,11 @@ class Scenario:
     # host is wired.
     faults: Optional[FaultPlan] = None
     # Self-profiling: None (the default) runs the bare event loop; a
-    # repro.prof.ProfConfig switches the host onto the profiled loop,
-    # which attributes every fired callback's wall-clock time to a
-    # pipeline phase. Profiling never changes simulation results
-    # (bit-identity is test-pinned), but like tracing the artifact
-    # lives on the Host, so profiled scenarios bypass the result cache.
+    # repro.prof.ProfConfig runs the same loop under cProfile and folds
+    # each function's self time onto a pipeline phase by its module.
+    # Profiling never changes simulation results (bit-identity is
+    # test-pinned), but like tracing the artifact lives on the Host, so
+    # profiled scenarios bypass the result cache.
     prof: Optional[ProfConfig] = None
     # Online control: None (the default) wires no control plane -- knob
     # files stay exactly as the static config wrote them. A

@@ -139,7 +139,9 @@ class Host:
         self.injectors, self.coordinator = self._build_faults()
         self.tracer, self.sampler = self._build_observability()
         self.ctl_plane, self.ctl_sampler = self._build_ctl()
-        self.profiler = self._build_profiler()
+        # run()'s repro.prof.SimProfile when scenario.prof is set, else
+        # None (self.profile is the knob's CPU cost profile).
+        self.sim_profile = None
         self.wc_probes = [
             WorkConservationProbe(
                 self.sim,
@@ -456,23 +458,6 @@ class Host:
             ]
         return []
 
-    def _build_profiler(self):
-        """Self-profiler per ``scenario.prof`` (None when off).
-
-        Like tracing and faults, profiling is composed at construction
-        time: without a ProfConfig no profiler exists and :meth:`run`
-        drives the bare event loop; with one, the host switches to the
-        profiled loop variant, which fires the same events in the same
-        order (results are bit-identical) while attributing wall-clock
-        time to pipeline phases.
-        """
-        config = self.scenario.prof
-        if config is None:
-            return None
-        from repro.prof.profiler import SimProfiler
-
-        return SimProfiler(config)
-
     def _observability_snapshot(self):
         """Build the sampler's per-tick snapshot function.
 
@@ -683,13 +668,16 @@ class Host:
                 probe.reset()
 
         self.sim.schedule_at(self.scenario.warmup_us, begin_measurement)
-        if self.profiler is not None:
-            self.sim.run_until_profiled(self.scenario.duration_us, self.profiler)
-            if self.tracer is not None:
-                self.profiler.counters["obs.spans"] = float(len(self.tracer.spans))
-            if self.sampler is not None:
-                self.profiler.counters["obs.samples"] = float(
-                    len(self.sampler.samples)
-                )
-        else:
+        if self.scenario.prof is None:
             self.sim.run_until(self.scenario.duration_us)
+            return
+        # Self-profiling runs the same loop under cProfile: same events,
+        # same order, bit-identical results (see repro.prof.profiler).
+        from repro.prof.profiler import profile_run
+
+        profile = profile_run(self.sim, self.scenario.duration_us)
+        if self.tracer is not None:
+            profile.counters["obs.spans"] = float(len(self.tracer.spans))
+        if self.sampler is not None:
+            profile.counters["obs.samples"] = float(len(self.sampler.samples))
+        self.sim_profile = profile

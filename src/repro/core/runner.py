@@ -84,14 +84,11 @@ class ScenarioResult(ScenarioSummary):
     def profile(self):
         """The self-profiling artifact, or None if profiling was off.
 
-        A :class:`~repro.prof.profiler.SimProfile` with the per-phase
-        wall-clock breakdown of the event loop that produced this
+        A :class:`~repro.prof.profiler.SimProfile`: the exclusive
+        per-phase wall-clock of the event loop that produced this
         result, ready for the :mod:`repro.prof.export` writers.
         """
-        profiler = self.host.profiler
-        if profiler is None:
-            return None
-        return profiler.profile()
+        return self.host.sim_profile
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

@@ -128,8 +128,18 @@ def measure_from_summary(
     p99 divides by ``device_scale``, bandwidth multiplies by it. A tenant
     with no completions measures :data:`STARVED_P99_US` / 0 MiB/s.
     """
-    scale = summary.device_scale
     stats = summary.cgroup_stats().get(cgroup)
+    return measure_from_stats(stats, summary.device_scale)
+
+
+def measure_from_stats(stats, scale: float) -> TenantMeasure:
+    """:func:`measure_from_summary` from one group's window stats.
+
+    ``stats`` is the tenant's entry of ``summary.cgroup_stats()`` (None
+    when it completed nothing); ``scale`` is the summary's
+    ``device_scale``. A pair summary measures both tenants from one
+    ``cgroup_stats()`` call this way.
+    """
     if stats is None or stats.latency is None:
         bandwidth = stats.bandwidth_mib_s * scale if stats is not None else 0.0
         return TenantMeasure(p99_us=STARVED_P99_US, bandwidth_mib_s=bandwidth)
@@ -349,8 +359,11 @@ def build_matrix(
     for first, second in measured:
         summary = summaries[cursor]
         cursor += 1
+        groups = summary.cgroup_stats()
         for tenant, partner in ((first, second), (second, first)):
-            shared = measure_from_summary(summary, tenant.cgroup)
+            shared = measure_from_stats(
+                groups.get(tenant.cgroup), summary.device_scale
+            )
             base = solo[tenant.name]
             if base.p99_us > 0:
                 ratio = max(1.0, shared.p99_us / base.p99_us)

@@ -2,22 +2,23 @@
 
 Where :mod:`repro.obs` answers "where does a *request's* latency go?",
 ``repro.prof`` answers "where does the *simulator's* wall-clock time
-go?" — the prerequisite for the engine speedup work (ROADMAP item 2):
-a hot-path change is only a win if the per-phase breakdown says so.
+go?": a hot-path change is only a win if the exclusive per-layer
+breakdown says so.
 
 Two layers:
 
-* :class:`SimProfiler` — near-zero-overhead-when-disabled phase timers
-  over the engine hot path. Every fired event callback is attributed to
-  a phase of the request pipeline (workload issue, throttle decision,
-  scheduler dispatch, device service, fault injection, obs emission, …)
-  by the module that owns the callback, plus explicit nested phase
-  timers and allocation/event counters. Enable by passing
-  ``prof=ProfConfig()`` to a :class:`~repro.core.config.Scenario`; read
-  the :class:`SimProfile` back from ``ScenarioResult.profile``. With
-  ``prof=None`` (the default) the simulator runs the exact
-  un-instrumented event loop — the same pay-for-what-you-use contract
-  :mod:`repro.obs` honours, guarded by the same overhead benchmark.
+* :func:`profile_run` — runs the plain event loop under ``cProfile``
+  and folds each function's self time onto a phase of the request
+  pipeline (event loop, workload issue, throttle decision, scheduler
+  dispatch, device service, fault injection, obs emission, …) by the
+  module that owns its code, plus per-phase fired-event counts and
+  engine counters. Enable by passing ``prof=ProfConfig()`` to a
+  :class:`~repro.core.config.Scenario`; read the :class:`SimProfile`
+  back from ``ScenarioResult.profile``. With ``prof=None`` (the
+  default) the host runs the same loop without a profiler and
+  ``cProfile`` is never imported — the same pay-for-what-you-use
+  contract :mod:`repro.obs` honours, guarded by the same overhead
+  benchmark.
 * :mod:`repro.prof.bench` — a pinned benchmark suite (``isol-bench
   bench``) over representative scenarios, emitting ``BENCH_<n>.json``
   trajectory files and comparing runs against the committed trajectory
@@ -34,16 +35,14 @@ from repro.prof.export import (
     write_chrome_trace,
     write_pstats,
 )
-from repro.prof.phases import ENGINE_POP, PHASES, phase_of_code
-from repro.prof.profiler import ProfilerError, SimProfile, SimProfiler
+from repro.prof.phases import PHASES, phase_of_code
+from repro.prof.profiler import SimProfile, profile_run
 
 __all__ = [
     "ProfConfig",
-    "SimProfiler",
     "SimProfile",
-    "ProfilerError",
+    "profile_run",
     "PHASES",
-    "ENGINE_POP",
     "phase_of_code",
     "format_phase_table",
     "write_pstats",

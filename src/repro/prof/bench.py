@@ -7,18 +7,22 @@ absorbs repeat work. This module pins a small suite of representative
 cases and tracks their throughput over the repo's history:
 
 * ``d1-overhead`` — two saturating batch apps under an io.cost knob
-  configured not to control (the §V overhead shape), run with the
-  self-profiler on;
+  configured not to control (the §V overhead shape);
 * ``d2-fairness`` — three uniform cgroups under BFQ weights (the §VI-A
-  fairness shape), profiled;
+  fairness shape);
 * ``d5-faulted`` — the D5 LC-vs-BE shape under a GC-storm fault plan
-  and an MQ-Deadline priority knob, profiled (exercises the fault
-  injection and retry paths);
+  and an MQ-Deadline priority knob (exercises the fault injection and
+  retry paths);
 * ``exec-batch`` — a six-submission sweep (three distinct scenarios,
   each submitted twice) run twice through a :class:`~repro.exec.
   executor.SweepExecutor` with a fresh cache: the first sweep measures
   dedup + execution, the second measures pure cache hits; worker
   utilization and cache hit stats land in the bench record.
+
+The first three are *profiled* cases: each repeat times an unprofiled
+run (``events / wall_seconds``), so the profiler's own cost never moves
+the rate, and one extra run under :func:`~repro.prof.profile_run`
+supplies the record's exclusive per-phase breakdown.
 
 Raw events/sec is machine-dependent, so every repeat also runs a
 *calibration* loop — a closed chain of trivial callbacks on a bare
@@ -41,7 +45,7 @@ from __future__ import annotations
 import json
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -104,7 +108,6 @@ def _d1_scenario() -> Scenario:
         warmup_s=0.1,
         seed=_SEED,
         device_scale=_DEVICE_SCALE,
-        prof=ProfConfig(),
     )
 
 
@@ -127,7 +130,6 @@ def _d2_scenario() -> Scenario:
         warmup_s=0.1,
         seed=_SEED,
         device_scale=_DEVICE_SCALE,
-        prof=ProfConfig(),
     )
 
 
@@ -145,7 +147,6 @@ def _d5_scenario() -> Scenario:
         seed=_SEED,
         device_scale=_DEVICE_SCALE,
         faults=gc_storm_plan(),
-        prof=ProfConfig(),
     )
 
 
@@ -218,15 +219,19 @@ def run_calibration(
 # Case runners
 # ----------------------------------------------------------------------
 def _run_profiled_case(name: str) -> dict:
-    """One repeat of a profiled case; returns events/rate/profile."""
+    """One timed repeat of a profiled case: an unprofiled run's rate."""
     result = run_scenario(_PROFILED_BUILDERS[name]())
-    profile = result.profile
-    loop_wall = profile.loop_wall_seconds
+    wall = result.wall_seconds
     return {
         "events": result.events_processed,
-        "rate": result.events_processed / loop_wall if loop_wall > 0 else 0.0,
-        "profile": profile,
+        "rate": result.events_processed / wall if wall > 0 else 0.0,
     }
+
+
+def _profile_case(name: str):
+    """The case's :class:`~repro.prof.SimProfile`, from one profiled run."""
+    scenario = replace(_PROFILED_BUILDERS[name](), prof=ProfConfig())
+    return run_scenario(scenario).profile
 
 
 def _run_exec_case(workers: int) -> dict:
@@ -326,12 +331,9 @@ def run_bench(
             entry["executor"] = rows[-1]["executor"]
             entry["cache"] = rows[-1]["cache"]
         else:
-            profile = rows[-1]["profile"]
-            entry["loop_wall_seconds"] = profile.loop_wall_seconds
-            entry["coverage"] = profile.coverage()
-            entry["phase_wall"] = dict(sorted(profile.phase_wall.items()))
-            entry["phase_events"] = dict(sorted(profile.phase_events.items()))
-            entry["counters"] = dict(sorted(profile.counters.items()))
+            # After the timed repeats, so it never sits between a
+            # calibration and the case sample it normalizes.
+            entry.update(_profile_case(name).to_json_dict())
         record["cases"][name] = entry
     return record
 

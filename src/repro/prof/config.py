@@ -1,9 +1,9 @@
-"""Profiler configuration.
+"""Profiler opt-in marker.
 
 A scenario opts into self-profiling by setting ``Scenario.prof`` to a
 :class:`ProfConfig`; the default (``None``) keeps the subsystem fully
-dormant: no profiler object is built and the event loop runs the exact
-seed hot path (``tests/unit/test_obs_overhead.py`` guards that path).
+dormant: cProfile is never imported and the host runs the plain event
+loop (``tests/unit/test_obs_overhead.py`` guards that loop).
 Profiling never changes simulation *results* — only how the run is
 timed — which the bit-identity tests in ``tests/unit/test_prof.py``
 pin down for both serial and multi-worker execution.
@@ -16,21 +16,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ProfConfig:
-    """How to profile a scenario run.
+    """Profile this scenario's run (see :func:`repro.prof.profile_run`).
 
-    * ``timeline_bucket_us`` — width (in *simulated* microseconds) of
-      the per-phase timeline buckets used by the Chrome-trace exporter;
-      ``0`` (the default) records phase totals only, which is what the
-      bench harness needs and keeps profiled runs lean.
+    Field-less on purpose: a dataclass rather than a ``bool`` so that
+    ``Scenario.prof=None`` renders, and therefore keys and caches,
+    exactly as it always has.
     """
-
-    timeline_bucket_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.timeline_bucket_us < 0:
-            raise ValueError("timeline_bucket_us must be >= 0 (0 disables buckets)")
-
-    @property
-    def timeline(self) -> bool:
-        """Whether per-phase timeline buckets are recorded."""
-        return self.timeline_bucket_us > 0

@@ -27,10 +27,12 @@ _PSTATS_FILE = "~repro.prof"
 
 
 def format_phase_table(profile: SimProfile) -> str:
-    """Render a pstats-style per-phase breakdown as aligned text."""
-    lines = [
-        f"{'phase':<12s} {'events':>10s} {'wall s':>9s} {'%loop':>7s} {'us/event':>9s}"
-    ]
+    """Render the per-phase breakdown as aligned text.
+
+    ``self s`` is the phase's exclusive wall-clock; ``events`` counts
+    the fired callbacks whose code the phase owns.
+    """
+    lines = [f"{'phase':<12s} {'events':>10s} {'self s':>9s} {'%loop':>7s}"]
     loop = profile.loop_wall_seconds
     ordered = sorted(
         profile.phase_wall.items(), key=lambda item: item[1], reverse=True
@@ -38,22 +40,11 @@ def format_phase_table(profile: SimProfile) -> str:
     for phase, wall in ordered:
         events = profile.phase_events.get(phase, 0)
         pct = 100.0 * wall / loop if loop > 0 else 0.0
-        per_event = 1e6 * wall / events if events else 0.0
-        lines.append(
-            f"{phase:<12s} {events:>10,d} {wall:>9.3f} {pct:>6.1f}% {per_event:>9.2f}"
-        )
+        lines.append(f"{phase:<12s} {events:>10,d} {wall:>9.3f} {pct:>6.1f}%")
     lines.append(
         f"{'loop total':<12s} {profile.events_accounted:>10,d} {loop:>9.3f} "
         f"(coverage {100.0 * profile.coverage():.1f}%)"
     )
-    if profile.span_wall:
-        lines.append("")
-        lines.append(f"{'span':<12s} {'enters':>10s} {'wall s':>9s}")
-        for name, wall in sorted(
-            profile.span_wall.items(), key=lambda item: item[1], reverse=True
-        ):
-            enters = profile.span_events.get(name, 0)
-            lines.append(f"{name:<12s} {enters:>10,d} {wall:>9.3f}")
     return "\n".join(lines)
 
 
@@ -62,16 +53,13 @@ def write_pstats(profile: SimProfile, path: str) -> None:
 
     Each phase becomes a synthetic function ``(~repro.prof, 0, phase)``
     with call count = events fired in that phase and total/cumulative
-    time = the phase's wall-clock seconds (phases are exclusive, so
-    tt == ct).
+    time = the phase's self wall-clock seconds (phases are exclusive,
+    so tt == ct).
     """
     stats: dict = {}
     for phase, wall in profile.phase_wall.items():
         events = max(1, profile.phase_events.get(phase, 0))
         stats[(_PSTATS_FILE, 0, phase)] = (events, events, wall, wall, {})
-    for name, wall in profile.span_wall.items():
-        enters = max(1, profile.span_events.get(name, 0))
-        stats[(_PSTATS_FILE, 0, f"span:{name}")] = (enters, enters, wall, wall, {})
     with open(path, "wb") as fh:
         marshal.dump(stats, fh)
 
@@ -79,11 +67,9 @@ def write_pstats(profile: SimProfile, path: str) -> None:
 def chrome_profile_events(profile: SimProfile) -> list[dict]:
     """Build Chrome ``traceEvents`` for a profile.
 
-    With timeline buckets, each phase becomes a counter track
-    (``prof.<phase>``, milliseconds of wall-clock per bucket) on the
-    profiler's viewer process, keyed by *simulated* time so the tracks
-    align with request spans. Without buckets a single sample at t=0
-    carries the totals.
+    Each phase becomes a counter track (``prof.<phase>``) on the
+    profiler's viewer process, with one sample at t=0 carrying the
+    phase's self wall-clock in milliseconds.
     """
     events: list[dict] = [
         {
@@ -95,34 +81,17 @@ def chrome_profile_events(profile: SimProfile) -> list[dict]:
             "args": {"name": "engine profiler (wall-clock ms)"},
         }
     ]
-    if profile.buckets:
-        for row in profile.buckets:
-            ts = row["t_us"] - profile.bucket_us
-            for key, wall in row.items():
-                if key == "t_us":
-                    continue
-                events.append(
-                    {
-                        "ph": "C",
-                        "name": f"prof.{key}",
-                        "pid": PROF_PID,
-                        "tid": 0,
-                        "ts": ts,
-                        "args": {"value": wall * 1e3},
-                    }
-                )
-    else:
-        for phase, wall in sorted(profile.phase_wall.items()):
-            events.append(
-                {
-                    "ph": "C",
-                    "name": f"prof.{phase}",
-                    "pid": PROF_PID,
-                    "tid": 0,
-                    "ts": 0,
-                    "args": {"value": wall * 1e3},
-                }
-            )
+    for phase, wall in sorted(profile.phase_wall.items()):
+        events.append(
+            {
+                "ph": "C",
+                "name": f"prof.{phase}",
+                "pid": PROF_PID,
+                "tid": 0,
+                "ts": 0,
+                "args": {"value": wall * 1e3},
+            }
+        )
     return events
 
 

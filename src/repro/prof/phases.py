@@ -1,43 +1,40 @@
-"""Phase taxonomy: which stage of the request pipeline owns an event.
+"""Phase taxonomy: which stage of the request pipeline owns a function.
 
-The profiled event loop attributes each fired callback to a *phase* by
-the module that owns the callback's code object — the simulator is
-callback-based, so "which module scheduled this work" is exactly "which
-pipeline stage is running". The mapping is resolved once per distinct
-code object and memoized, so the per-event cost is a single dict hit.
+The profiler charges each function's self time, and each fired event,
+to a *phase* by the module that owns the function's code object. The
+stack layers live in separate packages, so "which module owns this
+code" is exactly "which pipeline stage is running".
 
 The taxonomy (stable names; new modules fall into ``other``):
 
 ========== ===========================================================
 phase      what runs there
 ========== ===========================================================
-engine.pop heap pop + loop bookkeeping (time between callbacks)
+sim        the event loop, the RNG streams and the queued servers that
+           model CPU cores, flash units, the bus and dispatch locks
+           (repro.sim)
 workload   app request issue / completion handling (repro.workloads)
-cpu        per-I/O submit/complete CPU cost callbacks (repro.cpu)
+cpu        per-I/O submit/complete CPU cost accounting (repro.cpu)
 throttle   cgroup controller decisions: io.max token refills,
            io.latency window evaluation, io.cost vtime accounting
            (repro.iocontrol.{iomax,iolatency,iocost,base,dynamic_iomax})
 dispatch   scheduler dispatch: lock section, mq-deadline/bfq pop logic
            (repro.iocontrol.{dispatch,mq_deadline,bfq,nonectl})
-device     device service-cost computation: flash unit + bus occupancy
-           (repro.ssd, repro.sim.resources)
+device     device service-cost computation (repro.ssd)
 faults     fault injection + retry/watchdog machinery (repro.faults)
 obs        span recording + stack-sampler emission (repro.obs)
 pagecache  buffered-I/O page-cache machinery (repro.fs)
-host       host-level glue callbacks (repro.core.host)
-metrics    metrics collection callbacks (repro.metrics)
-other      anything else (tests, examples, ad-hoc callbacks)
+host       host-level glue (repro.core.host)
+metrics    metrics collection (repro.metrics)
+other      anything else (stdlib, tests, examples, ad-hoc callbacks)
 ========== ===========================================================
 """
 
 from __future__ import annotations
 
-#: The synthetic phase charged with heap-pop + loop bookkeeping time.
-ENGINE_POP = "engine.pop"
-
 #: Phase name -> one-line description (docs + table rendering order).
 PHASES: dict[str, str] = {
-    ENGINE_POP: "event pop + loop bookkeeping",
+    "sim": "event loop + queued servers",
     "workload": "app request issue/completion",
     "cpu": "per-I/O CPU cost accounting",
     "throttle": "cgroup controller decisions",
@@ -46,13 +43,14 @@ PHASES: dict[str, str] = {
     "faults": "fault injection + retry machinery",
     "obs": "span recording + sampler emission",
     "pagecache": "page-cache machinery",
-    "host": "host-level glue callbacks",
+    "host": "host-level glue",
     "metrics": "metrics collection",
-    "other": "uncategorized callbacks",
+    "other": "uncategorized code",
 }
 
 #: Path-fragment -> phase, first match wins (checked in order).
 _FRAGMENT_PHASES: tuple[tuple[str, str], ...] = (
+    ("repro/sim/", "sim"),
     ("repro/workloads/", "workload"),
     ("repro/cpu/", "cpu"),
     ("repro/iocontrol/dispatch", "dispatch"),
@@ -61,7 +59,6 @@ _FRAGMENT_PHASES: tuple[tuple[str, str], ...] = (
     ("repro/iocontrol/nonectl", "dispatch"),
     ("repro/iocontrol/", "throttle"),
     ("repro/ssd/", "device"),
-    ("repro/sim/resources", "device"),
     ("repro/faults/", "faults"),
     ("repro/obs/", "obs"),
     ("repro/fs/", "pagecache"),
@@ -80,9 +77,5 @@ def phase_of_filename(filename: str) -> str:
 
 
 def phase_of_code(code) -> str:
-    """Map a callback's code object to its phase (uncached form).
-
-    The profiler memoizes this per code object; call sites outside the
-    hot loop can use it directly.
-    """
+    """Map a code object to its phase."""
     return phase_of_filename(code.co_filename)

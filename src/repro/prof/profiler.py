@@ -1,58 +1,46 @@
-"""The simulator self-profiler: phase timers and event counters.
+"""The simulator self-profiler: exclusive time per pipeline phase.
 
-Two complementary instruments live on one :class:`SimProfiler`:
+:func:`profile_run` drives the unchanged
+:meth:`~repro.sim.engine.Simulator.run_until` under
+:class:`cProfile.Profile` and folds what it measured onto the taxonomy
+of :mod:`repro.prof.phases`:
 
-* **Event-loop phase attribution** — the profiled event loop
-  (:meth:`repro.sim.engine.Simulator.run_until_profiled`) times every
-  fired callback and attributes it to a pipeline phase via
-  :func:`repro.prof.phases.phase_of_code`, memoized per code object.
-  Heap-pop and loop bookkeeping time lands in the synthetic
-  ``engine.pop`` phase, so the per-phase wall-clock breakdown sums to
-  the measured loop wall-clock (the bench suite asserts >= 90%
-  coverage; the remainder is timer-read overhead).
-* **Explicit nested phase spans** — :meth:`push`/:meth:`pop` (or the
-  :meth:`phase` context manager) time coarse stages like host build or
-  summarization. Attribution is *exclusive*: entering a child span
-  pauses its parent, so span wall-clocks are disjoint and sum cleanly.
+* **Self time.** Each function's ``inlinetime`` — its own bytecode plus
+  the C builtins it calls — goes to the phase of the module that owns
+  its code. Attribution is exclusive by construction: a callback that
+  calls into another layer pays only for its own frames, the way
+  ``perf`` charges each cycle to the function running it.
+* **Events.** The Python functions the engine's ``_run_core`` calls are
+  the fired callbacks (the engine's own helpers aside), so per-phase
+  event counts come from cProfile's caller data. A
+  ``functools.partial`` or a bound method counts as the function it
+  calls.
 
-The profiler is only ever constructed when ``Scenario.prof`` is set;
-the un-profiled hot path never sees any of this.
+A profiled run costs about 3-4x an unprofiled one. ``cProfile`` is
+imported lazily, so unprofiled runs never load it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 
-from repro.prof.config import ProfConfig
-from repro.prof.phases import ENGINE_POP, phase_of_filename
-
-
-class ProfilerError(RuntimeError):
-    """Raised on phase-span misuse (unbalanced or mismatched push/pop)."""
+from repro.prof.phases import phase_of_code
 
 
 @dataclass
 class SimProfile:
-    """An immutable snapshot of everything one profiled run measured."""
+    """Everything one profiled run measured."""
 
-    #: Wall-clock seconds per event-loop phase (includes ``engine.pop``).
+    #: Exclusive (self) wall-clock seconds per phase.
     phase_wall: dict[str, float] = field(default_factory=dict)
-    #: Fired-callback count per event-loop phase.
+    #: Fired events per phase, by the module of the callback's code.
     phase_events: dict[str, int] = field(default_factory=dict)
-    #: Wall-clock seconds per explicit (nested) phase span, exclusive.
-    span_wall: dict[str, float] = field(default_factory=dict)
-    #: Number of times each explicit phase span was entered.
-    span_events: dict[str, int] = field(default_factory=dict)
-    #: Allocation/event counters (events scheduled, fired, cancelled, …).
+    #: Engine counters (events scheduled, fired, cancelled, pending),
+    #: plus ``obs.spans``/``obs.samples`` when tracing is also on.
     counters: dict[str, float] = field(default_factory=dict)
-    #: Total wall-clock seconds spent inside the profiled event loop.
+    #: Wall-clock seconds of the profiled ``run_until`` call.
     loop_wall_seconds: float = 0.0
-    #: Per-phase wall-clock timeline buckets (empty unless configured).
-    buckets: list[dict] = field(default_factory=list)
-    #: Simulated-time width of each timeline bucket (0 = no timeline).
-    bucket_us: float = 0.0
 
     @property
     def events_accounted(self) -> int:
@@ -62,8 +50,8 @@ class SimProfile:
     def coverage(self) -> float:
         """Fraction of loop wall-clock the phase breakdown accounts for.
 
-        ~1.0 by construction (every gap lands in ``engine.pop``); the
-        shortfall is the cost of reading the clock twice per event.
+        Just under 1.0: every profiled frame's self time is counted, and
+        the shortfall is the profiler's own work outside those frames.
         """
         if self.loop_wall_seconds <= 0:
             return 0.0
@@ -74,170 +62,55 @@ class SimProfile:
         return {
             "phase_wall": dict(sorted(self.phase_wall.items())),
             "phase_events": dict(sorted(self.phase_events.items())),
-            "span_wall": dict(sorted(self.span_wall.items())),
-            "span_events": dict(sorted(self.span_events.items())),
             "counters": dict(sorted(self.counters.items())),
             "loop_wall_seconds": self.loop_wall_seconds,
             "coverage": self.coverage(),
-            "bucket_us": self.bucket_us,
-            "buckets": [dict(bucket) for bucket in self.buckets],
         }
 
 
-def merge_profiles(profiles: list[SimProfile]) -> SimProfile:
-    """Sum several profiles into one (bench cases run scenario lists).
+def profile_run(sim, end_time_us: float) -> SimProfile:
+    """``sim.run_until(end_time_us)`` under cProfile, folded onto phases.
 
-    Timeline buckets are not merged — they are per-run artifacts; the
-    merged profile carries totals only.
+    The run is :meth:`run_until` itself, so firing order and the final
+    clock, and with them every simulation result, are those of an
+    unprofiled run. The profiler is disabled in a ``finally``: a
+    callback that raises leaves no profiler enabled behind it.
     """
-    total = SimProfile()
-    for profile in profiles:
-        for key, value in profile.phase_wall.items():
-            total.phase_wall[key] = total.phase_wall.get(key, 0.0) + value
-        for key, count in profile.phase_events.items():
-            total.phase_events[key] = total.phase_events.get(key, 0) + count
-        for key, value in profile.span_wall.items():
-            total.span_wall[key] = total.span_wall.get(key, 0.0) + value
-        for key, count in profile.span_events.items():
-            total.span_events[key] = total.span_events.get(key, 0) + count
-        for key, value in profile.counters.items():
-            total.counters[key] = total.counters.get(key, 0.0) + value
-        total.loop_wall_seconds += profile.loop_wall_seconds
-    return total
+    import cProfile
 
+    # builtins=False: C functions get no entries of their own (every
+    # entry's code is a code object), and their time stays in the self
+    # time of the Python frame that called them.
+    profiler = cProfile.Profile(builtins=False)
+    start = perf_counter()
+    profiler.enable()
+    try:
+        sim.run_until(end_time_us)
+    finally:
+        profiler.disable()
+    loop_wall = perf_counter() - start
 
-class SimProfiler:
-    """Accumulates phase timings and counters for one scenario run.
-
-    The profiled event loop writes straight into :attr:`phase_wall` /
-    :attr:`phase_events` / :attr:`_phase_cache` (hot-path dicts exposed
-    as attributes on purpose); everything else goes through methods.
-    """
-
-    def __init__(self, config: ProfConfig | None = None):
-        self.config = config or ProfConfig()
-        self.phase_wall: dict[str, float] = {ENGINE_POP: 0.0}
-        self.phase_events: dict[str, int] = {}
-        self.span_wall: dict[str, float] = {}
-        self.span_events: dict[str, int] = {}
-        self.counters: dict[str, float] = {}
-        self.loop_wall_seconds = 0.0
-        self.bucket_us = self.config.timeline_bucket_us
-        self.buckets: list[dict] = []
-        self._bucket_end = self.bucket_us
-        self._bucket_acc: dict[str, float] = {}
-        self._phase_cache: dict = {}
-        self._stack: list[list] = []
-
-    # ------------------------------------------------------------------
-    # Event-loop side (called from Simulator.run_until_profiled)
-    # ------------------------------------------------------------------
-    def resolve_phase(self, fn) -> str:
-        """Phase of a callback, memoized per code object."""
-        code = getattr(fn, "__code__", None)
-        phase = self._phase_cache.get(code)
-        if phase is None:
-            phase = (
-                phase_of_filename(code.co_filename)
-                if code is not None
-                else "other"
-            )
-            self._phase_cache[code] = phase
-        return phase
-
-    def bucket_add(self, t_us: float, phase: str, wall: float) -> None:
-        """Charge ``wall`` seconds to the timeline bucket holding ``t_us``."""
-        while t_us >= self._bucket_end:
-            self._flush_bucket()
-        acc = self._bucket_acc
-        acc[phase] = acc.get(phase, 0.0) + wall
-
-    def _flush_bucket(self) -> None:
-        """Close the current timeline bucket and open the next one."""
-        if self._bucket_acc:
-            row = {"t_us": self._bucket_end}
-            row.update(self._bucket_acc)
-            self.buckets.append(row)
-            self._bucket_acc = {}
-        self._bucket_end += self.bucket_us
-
-    def note_engine(self, sim) -> None:
-        """Record engine allocation/event counters after a loop run."""
-        self.counters["events.scheduled"] = float(sim._seq)
-        self.counters["events.fired"] = float(sim.events_processed)
-        self.counters["events.cancelled"] = float(sim._cancelled_total)
-        self.counters["events.pending"] = float(sim.pending_events())
-
-    # ------------------------------------------------------------------
-    # Explicit nested phase spans
-    # ------------------------------------------------------------------
-    def push(self, name: str) -> None:
-        """Open a nested phase span; pauses the enclosing span."""
-        now = perf_counter()
-        stack = self._stack
-        if stack:
-            top = stack[-1]
-            self.span_wall[top[0]] = self.span_wall.get(top[0], 0.0) + (
-                now - top[1]
-            )
-            top[1] = now
-        stack.append([name, now])
-        self.span_events[name] = self.span_events.get(name, 0) + 1
-
-    def pop(self, name: str | None = None) -> str:
-        """Close the innermost span (checked against ``name`` if given)."""
-        now = perf_counter()
-        if not self._stack:
-            raise ProfilerError("pop() with no open phase span")
-        top_name, mark = self._stack.pop()
-        if name is not None and name != top_name:
-            raise ProfilerError(
-                f"phase span mismatch: pop({name!r}) but {top_name!r} is open"
-            )
-        self.span_wall[top_name] = self.span_wall.get(top_name, 0.0) + (
-            now - mark
-        )
-        if self._stack:
-            self._stack[-1][1] = now
-        return top_name
-
-    @contextmanager
-    def phase(self, name: str):
-        """``with prof.phase("build"):`` — exception-safe push/pop."""
-        self.push(name)
-        try:
-            yield self
-        finally:
-            self.pop(name)
-
-    @property
-    def open_spans(self) -> list[str]:
-        """Names of currently open spans, outermost first."""
-        return [entry[0] for entry in self._stack]
-
-    # ------------------------------------------------------------------
-    # Snapshot
-    # ------------------------------------------------------------------
-    def profile(self) -> SimProfile:
-        """Snapshot the accumulated measurements.
-
-        Raises :class:`ProfilerError` if a phase span is still open —
-        an unbalanced push is a bug at the instrumentation site, not
-        data to report.
-        """
-        if self._stack:
-            raise ProfilerError(
-                f"profile() with open phase spans: {self.open_spans}"
-            )
-        if self._bucket_acc:
-            self._flush_bucket()
-        return SimProfile(
-            phase_wall=dict(self.phase_wall),
-            phase_events=dict(self.phase_events),
-            span_wall=dict(self.span_wall),
-            span_events=dict(self.span_events),
-            counters=dict(self.counters),
-            loop_wall_seconds=self.loop_wall_seconds,
-            buckets=[dict(bucket) for bucket in self.buckets],
-            bucket_us=self.bucket_us,
-        )
+    loop = type(sim)._run_core.__code__
+    phase_wall: dict[str, float] = {}
+    phase_events: dict[str, int] = {}
+    for entry in profiler.getstats():
+        phase = phase_of_code(entry.code)
+        phase_wall[phase] = phase_wall.get(phase, 0.0) + entry.inlinetime
+        if entry.code is not loop:
+            continue
+        for call in entry.calls or ():
+            if call.code.co_filename == loop.co_filename:
+                continue  # the engine's own helper (_advance), not an event
+            callee = phase_of_code(call.code)
+            phase_events[callee] = phase_events.get(callee, 0) + call.callcount
+    return SimProfile(
+        phase_wall=phase_wall,
+        phase_events=phase_events,
+        counters={
+            "events.scheduled": float(sim._seq),
+            "events.fired": float(sim.events_processed),
+            "events.cancelled": float(sim._cancelled_total),
+            "events.pending": float(sim.pending_events()),
+        },
+        loop_wall_seconds=loop_wall,
+    )

@@ -262,105 +262,6 @@ class Simulator:
         """Run until no events remain."""
         self._run_core(float("inf"))
 
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        """:meth:`run_until` with per-event phase timing.
-
-        A separate method rather than a branch inside the hot loop on
-        purpose: the un-profiled loop stays the guarded hot path
-        (``tests/unit/test_obs_overhead.py``). Firing order, cancellation
-        bookkeeping and the final clock are identical to
-        :meth:`run_until`, so a profiled run produces bit-identical
-        simulation results; the profiled loop additionally reads the
-        wall clock twice per event, charges the callback to its phase
-        (see :mod:`repro.prof.phases`) and the gap to ``engine.pop``, and
-        tracks the stored-entry peak.
-        """
-        from time import perf_counter as perf
-
-        slots = self._slots
-        mask = self._mask
-        pop = heappop
-        phase_wall = profiler.phase_wall
-        phase_events = profiler.phase_events
-        cache = profiler._phase_cache
-        resolve = profiler.resolve_phase
-        bucket_us = profiler.bucket_us
-        # Per-event work stays O(1) and dict-light: wall time and counts
-        # accumulate per callback *code object* (a handful of keys), and
-        # are folded into the per-phase dicts once, after the loop.
-        code_wall: dict = {}
-        code_wall_get = code_wall.get
-        pop_wall = 0.0
-        heap_peak = self._stored
-        loop_start = perf()
-        t_prev = loop_start
-        stop = False
-        while self._stored and not stop:
-            slot = slots[self._head & mask]
-            if not slot:
-                if not self._advance():
-                    break
-                slot = slots[self._head & mask]
-            if len(slot) > 1:
-                heapify(slot)
-            self._active = slot
-            while slot:
-                t = slot[0][0]
-                if t > end_time_us:
-                    stop = True
-                    break
-                while True:
-                    if self._stored > heap_peak:
-                        heap_peak = self._stored
-                    entry = pop(slot)
-                    self._stored -= 1
-                    if entry[3]:
-                        self._cancelled_popped += 1
-                    else:
-                        # The clock only moves for entries that fire
-                        # (see _run_core).
-                        self.now = t
-                        entry[3] = True  # consumed: cancel() is now a no-op
-                        fn = entry[2]
-                        t0 = perf()
-                        fn()
-                        t1 = perf()
-                        try:
-                            code = fn.__code__
-                        except AttributeError:
-                            code = None
-                        rec = code_wall_get(code)
-                        if rec is None:
-                            rec = code_wall[code] = [0.0, 0, fn]
-                        elapsed = t1 - t0
-                        rec[0] += elapsed
-                        rec[1] += 1
-                        pop_wall += t0 - t_prev
-                        t_prev = t1
-                        if bucket_us:
-                            phase = cache.get(code)
-                            if phase is None:
-                                phase = resolve(fn)
-                            profiler.bucket_add(t, phase, elapsed)
-                    if not slot or slot[0][0] != t:
-                        break
-            self._active = None
-        self.now = max(self.now, end_time_us)
-        loop_end = perf()
-        for code, (wall, count, fn) in code_wall.items():
-            phase = cache.get(code)
-            if phase is None:
-                phase = resolve(fn)
-            phase_wall[phase] = phase_wall.get(phase, 0.0) + wall
-            phase_events[phase] = phase_events.get(phase, 0) + count
-        phase_wall["engine.pop"] += pop_wall + (loop_end - t_prev)
-        profiler.loop_wall_seconds += loop_end - loop_start
-        counters = profiler.counters
-        counters["events.heap_peak"] = max(
-            counters.get("events.heap_peak", 0.0), float(heap_peak)
-        )
-        profiler.note_engine(self)
-
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""
         return self._stored - (self._cancelled_total - self._cancelled_popped)

@@ -36,7 +36,7 @@ from repro.surrogate.features import (
     feature_names,
     featurize,
     scenario_cgroups,
-    targets_from_summary,
+    targets_from_stats,
     utilization_reference_mib_s,
 )
 
@@ -156,10 +156,13 @@ class Corpus:
     def extend_from_pair(self, scenario: Scenario, summary: ScenarioSummary) -> int:
         """Append one run's rows (one per cgroup); returns rows added."""
         reference = utilization_reference_mib_s(scenario)
+        groups = summary.cgroup_stats()
         added = 0
         for cgroup in scenario_cgroups(scenario):
             features = tuple(featurize(scenario, cgroup))
-            targets = targets_from_summary(summary, cgroup, reference)
+            targets = targets_from_stats(
+                groups.get(cgroup), summary.device_scale, reference
+            )
             self.rows.append(
                 CorpusRow(
                     scenario_name=scenario.name,

@@ -509,8 +509,20 @@ def targets_from_summary(
     measurement window) trains at the :data:`TARGET_P99_CAP_US`
     ceiling, which also clamps any measured p99.
     """
-    scale = summary.device_scale
     stats = summary.cgroup_stats().get(cgroup)
+    return targets_from_stats(stats, summary.device_scale, reference_mib_s)
+
+
+def targets_from_stats(
+    stats, scale: float, reference_mib_s: float | None = None
+) -> tuple[float, float, float]:
+    """:func:`targets_from_summary` from one group's window stats.
+
+    ``stats`` is the group's entry of ``summary.cgroup_stats()`` (None
+    when the group completed nothing); ``scale`` is the summary's
+    ``device_scale``. Callers featurizing every group of one summary
+    compute ``cgroup_stats()`` once and pass each group's entry here.
+    """
     if stats is None:
         p99, bandwidth = TARGET_P99_CAP_US, 0.0
     else:

@@ -156,7 +156,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.prof or args.prof_out:
         from repro.prof import ProfConfig
 
-        prof = ProfConfig(timeline_bucket_us=args.prof_bucket_us)
+        prof = ProfConfig()
     result = run_scenario(_scenario_from_args(args, "cli-run", prof=prof))
     print(result.describe())
     _print_fault_counters(result)
@@ -825,12 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         choices=("json", "pstats", "chrome"),
         help="profile export format for --prof-out (default: json)",
-    )
-    p.add_argument(
-        "--prof-bucket-us",
-        type=float,
-        default=0.0,
-        help="timeline bucket width in simulated us (0 = totals only)",
     )
     p.set_defaults(fn=_cmd_run)
 

@@ -6,7 +6,9 @@ the same cancellation and ``pending_events()`` accounting as
 :class:`repro.sim.engine.Simulator`. It exists only for tests. The
 differential suite substitutes it for the wheel at the ``Host`` seam and
 asserts byte-identical scenario summaries; the engine unit and property
-suites hold it to the same contract they check the wheel against.
+suites hold it to the same contract they check the wheel against. Its
+loop is named ``_run_core`` like the wheel's, so ``repro.prof`` counts
+a profiled run's fired events on either core the same way.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class HeapSimulator:
     def event_active(self, event: list) -> bool:
         return not event[3]
 
-    def _drain(self, end_time_us: float) -> None:
+    def _run_core(self, end_time_us: float) -> None:
         heap = self._heap
         while heap and heap[0][0] <= end_time_us:
             entry = heappop(heap)
@@ -62,17 +64,11 @@ class HeapSimulator:
             entry[2]()
 
     def run_until(self, end_time_us: float) -> None:
-        self._drain(end_time_us)
+        self._run_core(end_time_us)
         self.now = max(self.now, end_time_us)
 
     def run(self) -> None:
-        self._drain(float("inf"))
-
-    def run_until_profiled(self, end_time_us: float, profiler) -> None:
-        # Profiles are not part of a ScenarioSummary, so the oracle only
-        # reports its counters and does no per-event timing.
-        self.run_until(end_time_us)
-        profiler.note_engine(self)
+        self._run_core(float("inf"))
 
     def pending_events(self) -> int:
         return len(self._heap) - (self._cancelled_total - self._cancelled_popped)

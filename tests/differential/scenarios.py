@@ -6,7 +6,7 @@ oracle (``tests/differential/oracle.py``) in seconds. The shapes
 deliberately cover every scheduler/throttle path (io.cost, BFQ,
 io.latency, io.max, MQ-DL + faults, tuned-QoS io.cost), both workload
 drive modes (closed-loop refill and open-loop Poisson arrivals,
-including the macro-tick batching mode), and the profiled event loop.
+including the macro-tick batching mode), and a profiled run.
 
 Module-level so the 2-worker spawn test can pickle builder references.
 """
@@ -50,8 +50,8 @@ _SEED = 7
 def d1_mini() -> Scenario:
     """D1 overhead shape: saturating batch apps, io.cost not controlling.
 
-    The self-profiler is on, so this mini drives ``run_until_profiled``
-    on the wheel and on the oracle.
+    The self-profiler is on, so this mini also drives ``run_until``
+    under cProfile, on the wheel and on the oracle alike.
     """
     ssd = samsung_980pro_like()
     apps = batch_scaling_specs(2, queue_depth=32)

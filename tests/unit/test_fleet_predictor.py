@@ -7,10 +7,13 @@ The matrix must stay complete, predicted effects must carry
 predictor must be an explicit error rather than a silent hole.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
+from repro.exec.summary import ScenarioSummary
 from repro.fleet.interference import (
     MINI_MATRIX,
     PairEffect,
@@ -94,6 +97,25 @@ class TestPredictorHook:
             fleet, MINI_MATRIX, executor=executor, predictor=predictor
         )
         assert all(not effect.predicted for effect in matrix.effects.values())
+
+
+def test_build_matrix_computes_cgroup_stats_once_per_summary(
+    fleet, executor, monkeypatch
+):
+    """A pair summary measures both tenants from one ``cgroup_stats()``."""
+    scenarios = matrix_scenarios(fleet, MINI_MATRIX)
+    executor.run_strict(scenarios)  # fill the cache before counting
+    calls = Counter()
+    accessor = ScenarioSummary.cgroup_stats
+
+    def counted(self):
+        calls[id(self)] += 1
+        return accessor(self)
+
+    monkeypatch.setattr(ScenarioSummary, "cgroup_stats", counted)
+    build_matrix(fleet, MINI_MATRIX, executor=executor)
+    assert len(calls) == len(scenarios)
+    assert set(calls.values()) == {1}
 
 
 class TestPairEffectSerialization:

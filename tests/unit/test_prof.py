@@ -2,10 +2,12 @@
 
 The contract under test:
 
-* phase attribution maps callback code objects onto the pipeline
-  taxonomy and the breakdown covers (>= 90% of) the loop wall-clock;
-* explicit phase spans nest with exclusive attribution and misuse
-  raises instead of producing silently-wrong numbers;
+* attribution is exclusive: each function's self time goes to the phase
+  of the module that owns its code, and the breakdown covers (>= 90%
+  of) the loop wall-clock;
+* the fired events are counted per phase, one per event the engine
+  fired, on the wheel and on the heap oracle alike;
+* a callback that raises leaves no profiler enabled;
 * profiling NEVER changes simulation results (bit-identical summary
   vs an unprofiled run);
 * the exports load with their standard consumers (``pstats.Stats``,
@@ -13,29 +15,35 @@ The contract under test:
 """
 
 import json
+import os
 import pstats
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import MqDeadlineKnob, Scenario
 from repro.core.runner import run_scenario
 from repro.exec.summary import run_scenario_summary
+from repro.metrics.latency import seq_sum
 from repro.obs import TraceConfig
 from repro.prof import (
-    ENGINE_POP,
     PHASES,
     ProfConfig,
-    ProfilerError,
-    SimProfiler,
     format_phase_table,
     phase_of_code,
+    profile_run,
     write_chrome_trace,
     write_pstats,
 )
 from repro.prof.export import PROF_PID, chrome_profile_events
 from repro.prof.phases import phase_of_filename
-from repro.prof.profiler import merge_profiles
+from repro.sim.engine import Simulator
 from repro.workloads.apps import batch_app, lc_app
+
+from tests.differential.oracle import HeapSimulator
 
 
 def tiny_scenario(prof=None, trace=None, seed=7) -> Scenario:
@@ -58,7 +66,8 @@ class TestPhases:
         assert phase_of_filename("/x/src/repro/iocontrol/dispatch.py") == "dispatch"
         assert phase_of_filename("/x/src/repro/iocontrol/iomax.py") == "throttle"
         assert phase_of_filename("/x/src/repro/ssd/device.py") == "device"
-        assert phase_of_filename("/x/src/repro/sim/resources.py") == "device"
+        assert phase_of_filename("/x/src/repro/sim/resources.py") == "sim"
+        assert phase_of_filename("/x/src/repro/sim/engine.py") == "sim"
         assert phase_of_filename("/x/src/repro/faults/injector.py") == "faults"
         assert phase_of_filename("/home/user/random.py") == "other"
 
@@ -74,52 +83,6 @@ class TestPhases:
         assert {phase for _, phase in _FRAGMENT_PHASES} <= set(PHASES)
 
 
-class TestSpans:
-    def test_nested_spans_close_in_order(self):
-        prof = SimProfiler()
-        prof.push("outer")
-        prof.push("inner")
-        assert prof.open_spans == ["outer", "inner"]
-        prof.pop("inner")
-        prof.pop("outer")
-        assert prof.open_spans == []
-        profile = prof.profile()
-        assert profile.span_events == {"outer": 1, "inner": 1}
-        assert profile.span_wall["outer"] >= 0.0
-        assert profile.span_wall["inner"] >= 0.0
-
-    def test_pop_mismatch_raises(self):
-        prof = SimProfiler()
-        prof.push("outer")
-        with pytest.raises(ProfilerError, match="mismatch"):
-            prof.pop("inner")
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(ProfilerError, match="no open phase span"):
-            SimProfiler().pop()
-
-    def test_profile_with_open_span_raises(self):
-        prof = SimProfiler()
-        prof.push("outer")
-        with pytest.raises(ProfilerError, match="open phase spans"):
-            prof.profile()
-
-    def test_context_manager_is_exception_safe(self):
-        prof = SimProfiler()
-        with pytest.raises(RuntimeError, match="boom"):
-            with prof.phase("stage"):
-                raise RuntimeError("boom")
-        assert prof.open_spans == []
-        assert prof.profile().span_events == {"stage": 1}
-
-    def test_reentered_span_accumulates(self):
-        prof = SimProfiler()
-        for _ in range(3):
-            with prof.phase("stage"):
-                pass
-        assert prof.profile().span_events == {"stage": 3}
-
-
 class TestProfiledRun:
     def test_profile_none_when_off(self):
         assert run_scenario(tiny_scenario()).profile is None
@@ -130,7 +93,7 @@ class TestProfiledRun:
         # The acceptance bar: phases must explain >= 90% of the loop.
         assert profile.coverage() >= 0.9
         assert profile.loop_wall_seconds > 0
-        assert ENGINE_POP in profile.phase_wall
+        assert profile.phase_wall["sim"] > 0
         assert set(profile.phase_wall) <= set(PHASES)
         # This scenario exercises the dispatch + device pipeline.
         assert profile.phase_wall["device"] > 0
@@ -142,7 +105,6 @@ class TestProfiledRun:
         assert profile.counters["events.fired"] == result.events_processed
         assert profile.events_accounted == result.events_processed
         assert profile.counters["events.scheduled"] >= profile.counters["events.fired"]
-        assert profile.counters["events.heap_peak"] >= 1
 
     def test_bit_identical_to_unprofiled_run(self):
         plain = run_scenario_summary(tiny_scenario())
@@ -163,46 +125,106 @@ class TestProfiledRun:
         assert profile.counters["obs.samples"] == len(result.trace.samples)
 
 
-class TestTimeline:
-    def test_bucket_validation(self):
-        with pytest.raises(ValueError):
-            ProfConfig(timeline_bucket_us=-1.0)
+class _Recorder:
+    """Owns a bound-method callback (this module, phase ``other``)."""
 
-    def test_buckets_cover_run(self):
-        result = run_scenario(
-            tiny_scenario(prof=ProfConfig(timeline_bucket_us=10_000.0))
-        )
-        profile = result.profile
-        assert profile.bucket_us == 10_000.0
-        assert profile.buckets
-        ends = [row["t_us"] for row in profile.buckets]
-        assert ends == sorted(ends)
-        for row in profile.buckets:
-            assert row["t_us"] % 10_000.0 == 0.0
-        bucketed = sum(
-            wall
-            for row in profile.buckets
-            for key, wall in row.items()
-            if key != "t_us"
-        )
-        callback_wall = sum(
-            wall for key, wall in profile.phase_wall.items() if key != ENGINE_POP
-        )
-        assert bucketed == pytest.approx(callback_wall)
+    def __init__(self):
+        self.fired = 0
+
+    def tick(self, step=1):
+        self.fired += step
+
+
+class TestExclusiveAttribution:
+    def test_callee_self_time_goes_to_the_callee_module(self):
+        # The callback is this module's (``other``); the work it does is
+        # seq_sum's loop (``metrics``). An inclusive profiler charges it
+        # all to the callback, an exclusive one to the loop.
+        values = [1.0] * 1_000_000
+        sim = Simulator()
+        sim.schedule(1.0, lambda: seq_sum(values))
+        profile = profile_run(sim, 10.0)
+        assert profile.phase_events == {"other": 1}
+        total = sum(profile.phase_wall.values())
+        assert profile.phase_wall["metrics"] > 0.8 * total
+
+    @pytest.mark.parametrize(
+        "core", [Simulator, HeapSimulator], ids=["wheel", "oracle"]
+    )
+    def test_each_fired_event_is_counted_once(self, core):
+        sim = core()
+        recorder = _Recorder()
+
+        def chain(left=50):
+            if left:
+                sim.schedule(3.0, lambda: chain(left - 1))
+
+        sim.schedule(1.0, chain)
+        sim.schedule(2.0, recorder.tick)
+        sim.schedule(2.0, partial(recorder.tick, 2))
+        sim.cancel(sim.schedule(4.0, recorder.tick))
+        # Far past the wheel's horizon: the engine's own _advance helper
+        # runs, and must not count as an event.
+        sim.schedule(50_000.0, recorder.tick)
+        profile = profile_run(sim, 100_000.0)
+        assert recorder.fired == 4
+        assert profile.events_accounted == sim.events_processed == 54
+        assert profile.phase_events == {"other": 54}
+        assert profile.counters["events.cancelled"] == 1
+        assert sim.now == 100_000.0
+
+    def test_a_raising_callback_leaves_no_profiler_enabled(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        sim = Simulator()
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            profile_run(sim, 10.0)
+        assert sys.getprofile() is None
+        # 3.12+ profiles through sys.monitoring, where a profiler left
+        # enabled makes the next enable() raise.
+        monitoring = getattr(sys, "monitoring", None)
+        if monitoring is not None:
+            assert monitoring.get_tool(monitoring.PROFILER_ID) is None
+        again = Simulator()
+        again.schedule(1.0, lambda: None)
+        assert profile_run(again, 10.0).events_accounted == 1
+
+
+def test_study_modules_load_no_profiler():
+    """Only a profiled run imports cProfile; loading a study never does.
+
+    The modules are the ones perfbench's three workloads import, so
+    their start-up cost stays free of the profiler's.
+    """
+    program = (
+        "import sys\n"
+        "import repro.core.table_one, repro.core.d8_online, repro.core.d9_surrogate\n"
+        "print(sorted({'cProfile', '_lsprof', 'profile', 'pstats'} & set(sys.modules)))"
+    )
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestExports:
     @pytest.fixture(scope="class")
     def profile(self):
-        prof = SimProfiler()
-        result = run_scenario(tiny_scenario(prof=ProfConfig()))
-        del prof
-        return result.profile
+        return run_scenario(tiny_scenario(prof=ProfConfig())).profile
 
     def test_format_phase_table(self, profile):
         text = format_phase_table(profile)
         assert "loop total" in text
-        assert ENGINE_POP in text
+        assert "sim" in text
         assert "coverage" in text
 
     def test_pstats_roundtrip(self, profile, tmp_path):
@@ -211,7 +233,7 @@ class TestExports:
         stats = pstats.Stats(str(path))
         names = {name for (_, _, name) in stats.stats}
         assert "device" in names
-        assert ENGINE_POP in names
+        assert "sim" in names
         total_tt = sum(entry[2] for entry in stats.stats.values())
         assert total_tt == pytest.approx(sum(profile.phase_wall.values()))
 
@@ -243,10 +265,3 @@ class TestExports:
         encoded = json.dumps(profile.to_json_dict())
         decoded = json.loads(encoded)
         assert decoded["coverage"] == pytest.approx(profile.coverage())
-
-    def test_merge_profiles_sums(self, profile):
-        merged = merge_profiles([profile, profile])
-        assert merged.loop_wall_seconds == pytest.approx(
-            2 * profile.loop_wall_seconds
-        )
-        assert merged.events_accounted == 2 * profile.events_accounted

@@ -131,15 +131,31 @@ class TestCompare:
         assert "1.50x" in report.render()
 
 
+def assert_flags_synthetic_regression(record: dict) -> None:
+    """Halving every case's rate must fail a compare against ``record``."""
+    slowed = copy.deepcopy(record)
+    for entry in slowed["cases"].values():
+        entry["median_normalized"] = entry["median_normalized"] / 2.0
+        entry["median_rate"] = entry["median_rate"] / 2.0
+    report = bench.compare_benches(record, slowed)
+    assert not report.ok
+    assert len(report.regressions) == len(record["cases"])
+    assert "REGRESSED" in report.render() and "FAIL" in report.render()
+
+
 class TestCommittedTrajectory:
     """The committed BENCH_0001 -> BENCH_0002 pair records the engine
-    rewrite's measured improvement; compare must report it (and still
-    flag a synthetic regression against the new record)."""
+    rewrite's measured improvement; compare must report it. The latest
+    record is CI's baseline, so compare must flag a synthetic regression
+    against it."""
 
     def records(self) -> tuple[dict, dict]:
         base = bench.load_bench(TRAJECTORY_DIR / "BENCH_0001.json")
         cur = bench.load_bench(TRAJECTORY_DIR / "BENCH_0002.json")
         return base, cur
+
+    def latest(self) -> dict:
+        return bench.load_bench(bench.latest_bench_path(TRAJECTORY_DIR))
 
     def test_bench_0002_is_full_record_matching_baseline_shape(self):
         base, cur = self.records()
@@ -162,14 +178,26 @@ class TestCommittedTrajectory:
 
     def test_synthetic_regression_vs_bench_0002_is_flagged(self):
         _, cur = self.records()
-        slowed = copy.deepcopy(cur)
-        for entry in slowed["cases"].values():
-            entry["median_normalized"] = entry["median_normalized"] / 2.0
-            entry["median_rate"] = entry["median_rate"] / 2.0
-        report = bench.compare_benches(cur, slowed)
-        assert not report.ok
-        assert len(report.regressions) == len(cur["cases"])
-        assert "REGRESSED" in report.render() and "FAIL" in report.render()
+        assert_flags_synthetic_regression(cur)
+
+    def test_latest_record_is_a_full_exclusive_record(self):
+        # BENCH_0003 on: rates timed unprofiled, phases exclusive, so the
+        # event loop is the "sim" phase rather than a between-callbacks gap.
+        latest = self.latest()
+        _, previous = self.records()
+        assert latest["mini"] is False
+        assert latest["repeats"] == 3 and latest["workers"] == 2
+        assert set(latest["cases"]) == set(previous["cases"])
+        for name, entry in latest["cases"].items():
+            if entry["kind"] != "profiled":
+                continue
+            assert entry["coverage"] >= 0.9, name
+            assert "sim" in entry["phase_wall"], name
+            assert "engine.pop" not in entry["phase_wall"], name
+            assert sum(entry["phase_events"].values()) == entry["events"], name
+
+    def test_synthetic_regression_vs_latest_record_is_flagged(self):
+        assert_flags_synthetic_regression(self.latest())
 
 
 class TestRunBench:

@@ -19,7 +19,7 @@ from repro.core.d6_autotune import mini_settings, resolve_surrogate_model
 from repro.exec import cache as cache_module
 from repro.exec.cache import ResultCache
 from repro.exec.cachekey import SCHEMA_VERSION, scenario_key
-from repro.exec.summary import run_scenario_summary
+from repro.exec.summary import ScenarioSummary, run_scenario_summary
 from repro.surrogate.corpus import (
     MIN_CORPUS_ROWS,
     corpus_from_pairs,
@@ -165,6 +165,33 @@ class TestSplitsAndPairs:
         corpus = corpus_from_pairs([(scenario, summary), (scenario, summary)])
         assert corpus.stats.entries_loaded == 2
         assert corpus.n_rows == 2 * len(scenario_cgroups(scenario))
+
+
+def test_corpus_computes_cgroup_stats_once_per_summary(monkeypatch):
+    """Featurizing a summary's groups shares one ``cgroup_stats()`` pass."""
+    scenario = Scenario(
+        name="corpus-three-groups",
+        knob=NoneKnob(),
+        apps=[
+            JobSpec(name=name, cgroup_path=f"/t/{name}", queue_depth=4)
+            for name in ("a", "b", "c")
+        ],
+        duration_s=0.03,
+        warmup_s=0.01,
+        device_scale=16.0,
+    )
+    summary = run_scenario_summary(scenario)
+    calls = []
+    accessor = ScenarioSummary.cgroup_stats
+
+    def counted(self):
+        calls.append(self)
+        return accessor(self)
+
+    monkeypatch.setattr(ScenarioSummary, "cgroup_stats", counted)
+    corpus = corpus_from_pairs([(scenario, summary)])
+    assert corpus.n_rows == 3
+    assert calls == [summary]
 
 
 class TestAutoFallback:
