@@ -15,9 +15,10 @@ cases and tracks their throughput over the repo's history:
   retry paths);
 * ``exec-batch`` — a six-submission sweep (three distinct scenarios,
   each submitted twice) run twice through a :class:`~repro.exec.
-  executor.SweepExecutor` with a fresh cache: the first sweep measures
-  dedup + execution, the second measures pure cache hits; worker
-  utilization and cache hit stats land in the bench record.
+  executor.SweepExecutor` with a fresh cache, after an untimed sweep
+  that starts the worker pool: the first timed sweep measures dedup +
+  execution, the second measures pure cache hits; worker utilization
+  and cache hit stats land in the bench record.
 
 The first three are *profiled* cases: each repeat times an unprofiled
 run (``events / wall_seconds``), so the profiler's own cost never moves
@@ -27,12 +28,14 @@ supplies the record's exclusive per-phase breakdown.
 Raw events/sec is machine-dependent, so every repeat also runs a
 *calibration* loop — a closed chain of trivial callbacks on a bare
 :class:`~repro.sim.engine.Simulator`, the same drive the overhead guard
-in ``tests/unit/test_obs_overhead.py`` uses — interleaved with the
-cases. Trajectory comparison operates on **normalized** rates
-(case events/sec divided by the paired calibration events/sec), so a
-committed trajectory from one machine remains comparable on another;
-the medians over repeats give the paired-median robustness the overhead
-guard established.
+in ``tests/unit/test_obs_overhead.py`` uses — right before and right
+after each case sample. Trajectory comparison operates on
+**normalized** rates (case events/sec divided by the paired
+calibration events/sec), so a committed trajectory from one machine
+remains comparable on another; the medians over repeats give the
+paired-median robustness the overhead guard established. A full run
+takes :data:`FULL_REPEATS` repeats, a ``mini`` run
+:data:`MINI_REPEATS`.
 
 Bench records are JSON files named ``BENCH_<nnnn>.json`` (monotonic
 counter) under ``benchmarks/trajectory/``; :func:`compare_benches`
@@ -49,6 +52,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
 from time import perf_counter
+from typing import Callable, TypeVar
 
 from repro.core.config import MqDeadlineKnob, Scenario
 from repro.core.knob_catalog import fairness_knobs, overhead_knobs
@@ -59,7 +63,7 @@ from repro.core.scenarios import (
     uniform_fairness_groups,
 )
 from repro.exec.cache import ResultCache
-from repro.exec.executor import SweepExecutor
+from repro.exec.executor import ExecutorStats, SweepExecutor
 from repro.faults.presets import gc_storm_plan
 from repro.prof.config import ProfConfig
 from repro.sim.engine import Simulator
@@ -74,6 +78,14 @@ DEFAULT_TRAJECTORY_DIR = Path("benchmarks") / "trajectory"
 #: Default paired-median slowdown threshold for :func:`compare_benches`.
 DEFAULT_THRESHOLD = 1.3
 
+#: Paired repeats per case of a full run (a committed trajectory
+#: record) and of a ``mini`` run (CI's candidate). On a shared 2-vCPU
+#: host one sample's normalized rate spreads about +-15%, so a
+#: single-sample candidate tripped a 1.35x gate on unchanged code in
+#: about one run in seven; a median of three held it.
+FULL_REPEATS = 9
+MINI_REPEATS = 3
+
 #: Case names in suite order.
 CASE_NAMES = ("d1-overhead", "d2-fairness", "d5-faulted", "exec-batch")
 
@@ -86,6 +98,8 @@ _DEVICE_SCALE = 8.0
 _SEED = 42
 
 _BENCH_NAME_RE = re.compile(r"^BENCH_(\d{4,})\.json$")
+
+T = TypeVar("T")
 
 
 # ----------------------------------------------------------------------
@@ -215,17 +229,38 @@ def run_calibration(
     return sim.events_processed, elapsed
 
 
+def _bracketed(timed: Callable[[], T]) -> tuple[T, float]:
+    """Run ``timed()`` between two calibration runs.
+
+    Returns its result and the pooled calibration rate (events/sec over
+    both runs). Both runs sit right next to the timed work, so the pair
+    tracks a machine that changes speed around the sample: on a shared
+    2-vCPU host the calibration rate can halve from one second to the
+    next, and calibrating ahead of ``exec-batch``'s pool start-up,
+    about a second early, nearly doubled that case's spread.
+    """
+    before_events, before_elapsed = run_calibration()
+    result = timed()
+    after_events, after_elapsed = run_calibration()
+    elapsed = before_elapsed + after_elapsed
+    rate = (before_events + after_events) / elapsed if elapsed > 0 else 0.0
+    return result, rate
+
+
 # ----------------------------------------------------------------------
-# Case runners
+# Case runners: one repeat each, returning the sample and the rate of
+# the calibration that brackets it
 # ----------------------------------------------------------------------
-def _run_profiled_case(name: str) -> dict:
+def _run_profiled_case(name: str) -> tuple[dict, float]:
     """One timed repeat of a profiled case: an unprofiled run's rate."""
-    result = run_scenario(_PROFILED_BUILDERS[name]())
+    scenario = _PROFILED_BUILDERS[name]()
+    result, calib_rate = _bracketed(lambda: run_scenario(scenario))
     wall = result.wall_seconds
-    return {
+    sample = {
         "events": result.events_processed,
         "rate": result.events_processed / wall if wall > 0 else 0.0,
     }
+    return sample, calib_rate
 
 
 def _profile_case(name: str):
@@ -234,22 +269,37 @@ def _profile_case(name: str):
     return run_scenario(scenario).profile
 
 
-def _run_exec_case(workers: int) -> dict:
-    """One repeat of the executor case; returns events/rate/stats.
+def _run_exec_case(workers: int) -> tuple[dict, float]:
+    """One repeat of the executor case; the sample holds events/rate/stats.
 
     A fresh executor and a fresh (temporary) cache per repeat, so the
-    cold-sweep/warm-sweep structure is identical every time.
+    cold-sweep/warm-sweep structure is identical every time. A worker
+    pool is started by an uncached sweep outside the rate: spawning
+    each worker and importing the engine there is process start-up,
+    which the engine calibration cannot normalize. That sweep's wall
+    time is kept as ``start_up_seconds`` (0 without a pool).
     """
     scenarios = _exec_batch_scenarios()
     with tempfile.TemporaryDirectory(prefix="isolbench-bench-") as tmp:
         cache = ResultCache(Path(tmp))
-        with SweepExecutor(max_workers=workers, cache=cache) as executor:
-            executor.run_strict(scenarios)  # cold: execute + dedup
-            executor.run_strict(scenarios)  # warm: pure cache hits
+        with SweepExecutor(max_workers=workers) as executor:
+            if workers > 1:
+                executor.run_strict(scenarios)  # start-up: spawn the pool
+            start_up_seconds = executor.stats.elapsed_seconds
+            executor.stats = ExecutorStats(workers=workers)
+            executor.cache = cache
+
+            def sweeps() -> None:
+                """The timed work: a cold and a warm sweep."""
+                executor.run_strict(scenarios)  # cold: execute + dedup
+                executor.run_strict(scenarios)  # warm: pure cache hits
+
+            _, calib_rate = _bracketed(sweeps)
             stats = executor.stats
-            return {
+            sample = {
                 "events": stats.events_processed,
                 "rate": stats.events_per_sec,
+                "start_up_seconds": start_up_seconds,
                 "executor": stats.to_json_dict(),
                 "cache": {
                     "hits": cache.stats.hits,
@@ -257,13 +307,14 @@ def _run_exec_case(workers: int) -> dict:
                     "stores": cache.stats.stores,
                 },
             }
+            return sample, calib_rate
 
 
 # ----------------------------------------------------------------------
 # Suite
 # ----------------------------------------------------------------------
 def run_bench(
-    repeats: int = 3,
+    repeats: int = FULL_REPEATS,
     mini: bool = False,
     cases: tuple[str, ...] | None = None,
     workers: int = 1,
@@ -271,10 +322,10 @@ def run_bench(
 ) -> dict:
     """Run the pinned suite and return a bench record (JSON-ready dict).
 
-    ``mini`` drops to one repeat but keeps every case's *content*
-    identical, so a mini record (the CI job) remains comparable against
-    a committed full record. ``cases`` filters the suite by name;
-    ``workers`` sizes the executor case's pool.
+    ``mini`` drops to :data:`MINI_REPEATS` repeats but keeps every
+    case's *content* identical, so a mini record (the CI job) remains
+    comparable against a committed full record. ``cases`` filters the
+    suite by name; ``workers`` sizes the executor case's pool.
     """
     selected = CASE_NAMES if cases is None else tuple(cases)
     unknown = [name for name in selected if name not in CASE_NAMES]
@@ -283,21 +334,16 @@ def run_bench(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if mini:
-        repeats = 1
+        repeats = MINI_REPEATS
 
     samples: dict[str, list[dict]] = {name: [] for name in selected}
     calib_rates: dict[str, list[float]] = {name: [] for name in selected}
     for _ in range(repeats):
         for name in selected:
-            # Interleaved pairing: each case sample gets its own
-            # calibration sample taken immediately before it, so slow
-            # machine moments cancel out of the normalized rate.
-            calib_events, calib_elapsed = run_calibration()
-            calib_rate = calib_events / calib_elapsed if calib_elapsed > 0 else 0.0
             if name == "exec-batch":
-                sample = _run_exec_case(workers)
+                sample, calib_rate = _run_exec_case(workers)
             else:
-                sample = _run_profiled_case(name)
+                sample, calib_rate = _run_profiled_case(name)
             calib_rates[name].append(calib_rate)
             samples[name].append(sample)
 
@@ -328,6 +374,9 @@ def run_bench(
             "median_normalized": median(normalized),
         }
         if name == "exec-batch":
+            entry["start_up_seconds"] = median(
+                row["start_up_seconds"] for row in rows
+            )
             entry["executor"] = rows[-1]["executor"]
             entry["cache"] = rows[-1]["cache"]
         else:

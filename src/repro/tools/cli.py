@@ -710,7 +710,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         started = time.perf_counter()
         record = bench.run_bench(
-            repeats=args.repeats,
+            repeats=args.repeats if args.repeats is not None else bench.FULL_REPEATS,
             mini=args.mini,
             cases=cases,
             workers=args.workers,
@@ -900,10 +900,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the pinned perf suite; compare against the trajectory",
     )
     p.add_argument(
-        "--mini", action="store_true", help="single repeat (CI; same case content)"
+        "--mini", action="store_true", help="3 paired repeats (CI; same case content)"
     )
     p.add_argument(
-        "--repeats", type=int, default=3, help="paired repeats per case (default 3)"
+        "--repeats", type=int, default=None, help="paired repeats per case (default 9)"
     )
     p.add_argument(
         "--cases",

@@ -186,7 +186,7 @@ class TestCommittedTrajectory:
         latest = self.latest()
         _, previous = self.records()
         assert latest["mini"] is False
-        assert latest["repeats"] == 3 and latest["workers"] == 2
+        assert latest["repeats"] == bench.FULL_REPEATS and latest["workers"] == 2
         assert set(latest["cases"]) == set(previous["cases"])
         for name, entry in latest["cases"].items():
             if entry["kind"] != "profiled":
@@ -212,7 +212,7 @@ class TestRunBench:
     def test_exec_case_schema(self):
         record = bench.run_bench(mini=True, cases=("exec-batch",), workers=1)
         assert record["schema_version"] == bench.BENCH_SCHEMA_VERSION
-        assert record["repeats"] == 1
+        assert record["repeats"] == bench.MINI_REPEATS
         entry = record["cases"]["exec-batch"]
         assert entry["kind"] == "executor"
         assert entry["events"] > 0
@@ -230,6 +230,40 @@ class TestRunBench:
         assert entry["cache"] == {"hits": 6, "misses": 6, "stores": 3}
         # The record must be committable as-is.
         json.dumps(record)
+
+    def test_calibration_brackets_the_sweeps_after_pool_start(self, monkeypatch):
+        # Spawning workers and importing the engine there is process
+        # start-up, which the calibration cannot normalize: an uncached
+        # sweep starts the pool, then calibration runs bracket the two
+        # timed sweeps, and the record holds only those two.
+        seen = []
+        real_run, real_calibration = bench.SweepExecutor.run, bench.run_calibration
+
+        def run(executor, scenarios):
+            pool_up = executor._pool is not None
+            seen.append(("sweep", pool_up, executor.cache is not None))
+            return real_run(executor, scenarios)
+
+        def calibration():
+            seen.append(("calibration",))
+            return real_calibration()
+
+        monkeypatch.setattr(bench.SweepExecutor, "run", run)
+        monkeypatch.setattr(bench, "run_calibration", calibration)
+        record = bench.run_bench(repeats=1, cases=("exec-batch",), workers=2)
+        assert seen == [
+            ("sweep", False, False),
+            ("calibration",),
+            ("sweep", True, True),
+            ("sweep", True, True),
+            ("calibration",),
+        ]
+        entry = record["cases"]["exec-batch"]
+        stats = entry["executor"]
+        assert (stats["sweeps"], stats["executed"], stats["deduped"]) == (2, 3, 3)
+        assert stats["cached"] == 6 and stats["workers"] == 2
+        assert entry["cache"] == {"hits": 6, "misses": 6, "stores": 3}
+        assert entry["start_up_seconds"] > 0
 
     def test_profiled_case_breakdown_covers_wall(self):
         record = bench.run_bench(mini=True, cases=("d5-faulted",))
