@@ -44,7 +44,7 @@ from repro.iocontrol.nonectl import NoneScheduler
 from repro.iorequest import IoRequest, OpType, Pattern
 from repro.metrics.collector import MetricsCollector, cgroup_stats
 from repro.metrics.workconservation import WorkConservationProbe
-from repro.sim.engine import Simulator
+from repro.sim.engine import BASE_SLOT_WIDTH_US, Simulator
 from repro.sim.rng import RngStreams
 from repro.ssd.array import SsdArray
 from repro.workloads.generator import App
@@ -66,7 +66,9 @@ class Host:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.sim = Simulator()
+        # device_scale stretches every service time alike, so the wheel's
+        # slots stretch with it: the same events per slot at any scale.
+        self.sim = Simulator(slot_width_us=BASE_SLOT_WIDTH_US * scenario.device_scale)
         self.rngs = RngStreams(scenario.seed)
         self.hierarchy = CgroupHierarchy()
         self.collector = MetricsCollector()
@@ -90,10 +92,13 @@ class Host:
         )
         self.core_set = CoreSet(self.sim, scenario.cores)
         self.accounting = CpuAccounting(self.core_set, self.profile)
-        # The per-I/O CPU costs depend only on an app's queue depth;
-        # memoized here so the 1/qd interpolation runs once per depth.
-        self._submit_cost_us: dict[int, float] = {}
-        self._complete_cost_us: dict[int, float] = {}
+        # The per-I/O CPU costs depend only on an app's queue depth, so
+        # each app's are priced once; writeback completes at batched cost.
+        self._complete_cost_us = {
+            spec.name: self.profile.complete_cost_us(spec.queue_depth)
+            for spec in scenario.apps
+        }
+        self._writeback_complete_cost_us = self.profile.complete_cost_us(256)
 
         self._build_cgroups()
         scenario.knob.configure(self.hierarchy, scenario.device_ids())
@@ -116,10 +121,22 @@ class Host:
         ]
         self.apps = self._build_apps()
         self.page_caches = self._build_page_caches()
-        # Request-path fast-path state: bound submit targets per device
-        # (avoids a method allocation per request) and flags that let the
-        # per-request handlers skip branches no app in the scenario uses.
-        self._engine_submits = [engine.submit for engine in self.engines]
+        # Per-device request-path targets, bound once: the block-layer
+        # entry (the dispatch engine itself behind a passthrough
+        # throttle) and the throttle's completion hook (None when it is
+        # the base class's no-op).
+        self._block_entries = [
+            engine.submit
+            if isinstance(throttle, PassthroughThrottle)
+            else partial(throttle.submit, forward=engine.submit)
+            for throttle, engine in zip(self.throttles, self.engines)
+        ]
+        self._throttle_completes = [
+            None
+            if type(throttle).on_complete is ThrottleLayer.on_complete
+            else throttle.on_complete
+            for throttle in self.throttles
+        ]
         self._any_buffered = any(not spec.direct for spec in self.scenario.apps)
         self._saturated_extra = self.profile.saturated_extra_latency_us
         # Vectorized warm-up of the per-device cost memos: every
@@ -137,6 +154,14 @@ class Host:
             device.warm_costs(cost_keys)
         self.iomax_managers = self._build_iomax_managers()
         self.injectors, self.coordinator = self._build_faults()
+        # What follows a submission's CPU cost, picked once per scenario:
+        # straight into the block layer unless a buffered app, io.cost's
+        # saturation delay or a retry watchdog needs a look first. A
+        # plain function, so the host holds no reference to itself.
+        if self._any_buffered or self._saturated_extra > 0 or self.coordinator is not None:
+            self._after_submit = type(self)._after_submit_cpu
+        else:
+            self._after_submit = type(self)._after_submit_cpu_direct
         self.tracer, self.sampler = self._build_observability()
         self.ctl_plane, self.ctl_sampler = self._build_ctl()
         # run()'s repro.prof.SimProfile when scenario.prof is set, else
@@ -232,7 +257,7 @@ class Host:
             app = App(
                 self.sim,
                 spec,
-                submit=self._submit,
+                submit=partial(self._submit, self.profile.submit_cost_us(spec.queue_depth)),
                 rng=self.rngs.stream(f"app.{spec.name}"),
                 device_index=self.devices.device_for_app(app_index),
                 prio_class=prio,
@@ -527,12 +552,9 @@ class Host:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
-    def _submit(self, req: IoRequest) -> None:
-        qd = self.apps[req.app_name].spec.queue_depth
-        cost = self._submit_cost_us.get(qd)
-        if cost is None:
-            cost = self._submit_cost_us[qd] = self.profile.submit_cost_us(qd)
-        self.core_set.charge(cost, partial(self._after_submit_cpu, req))
+    def _submit(self, cost_us: float, req: IoRequest) -> None:
+        """An app issued ``req``; each app's submit cost is bound in."""
+        self.core_set.charge(cost_us, partial(self._after_submit, self, req))
 
     def _route_to_block_layer(self, req: IoRequest) -> None:
         """Entry below the page cache: straight into cgroup throttling."""
@@ -553,19 +575,20 @@ class Host:
         coordinator = self.coordinator
         if coordinator is not None and req.app_name in self.apps:
             coordinator.watch(req)
-        device_index = req.device_index
-        self.throttles[device_index].submit(req, self._engine_submits[device_index])
+        self._block_entries[req.device_index](req)
+
+    def _after_submit_cpu_direct(self, req: IoRequest) -> None:
+        """Submit CPU paid, nothing in between: into the block layer."""
+        self._block_entries[req.device_index](req)
 
     def _after_submit_cpu(self, req: IoRequest) -> None:
+        """Submit CPU paid: page cache, io.cost timer lag, then the block layer."""
         if self._any_buffered:
             app = self.apps.get(req.app_name)
             if app is not None and not app.spec.direct:
                 cache = self.page_caches[req.device_index]
                 cache.submit_buffered(req, self._finish)
                 return
-        self._after_submit_cpu_direct(req)
-
-    def _after_submit_cpu_direct(self, req: IoRequest) -> None:
         extra = self._saturated_extra
         if extra > 0 and self.core_set.is_saturated():
             # io.cost defers work to per-period timers; under CPU
@@ -576,13 +599,11 @@ class Host:
             self._enter_block_layer(req)
 
     def _on_device_complete(self, req: IoRequest) -> None:
-        self.throttles[req.device_index].on_complete(req)
-        app = self.apps.get(req.app_name)
+        throttle_complete = self._throttle_completes[req.device_index]
+        if throttle_complete is not None:
+            throttle_complete(req)
         # Kernel-side requests (writeback) complete at batched cost.
-        qd = app.spec.queue_depth if app is not None else 256
-        cost = self._complete_cost_us.get(qd)
-        if cost is None:
-            cost = self._complete_cost_us[qd] = self.profile.complete_cost_us(qd)
+        cost = self._complete_cost_us.get(req.app_name, self._writeback_complete_cost_us)
         self.core_set.charge(cost, partial(self._finish, req))
 
     def _finish(self, req: IoRequest) -> None:
@@ -643,6 +664,25 @@ class Host:
         if self.ctl_plane is None:
             return {}
         return self.ctl_plane.counters()
+
+    def release(self) -> None:
+        """Free this finished run by reference counting.
+
+        A wired host is a web of reference cycles: components call the
+        host and each other through bound methods, and the wheel's
+        pending events call back into them. Left alone, a dropped run
+        waits for the cyclic garbage collector, with every request
+        still queued or in flight. A caller that drops a finished host
+        calls this instead: it drops the pending events with their
+        callbacks, the work queued on the CPU and device servers, and
+        then the host's own references. The host must not be used
+        afterwards.
+        """
+        self.sim.release()
+        self.core_set.server.release()
+        for device in self.devices.devices:
+            device.release()
+        vars(self).clear()
 
     # ------------------------------------------------------------------
     # Execution

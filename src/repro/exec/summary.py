@@ -228,7 +228,14 @@ def summarize(result) -> ScenarioSummary:
 
 
 def run_scenario_summary(scenario) -> ScenarioSummary:
-    """Run one scenario and return its summary (the worker entry point)."""
+    """Run one scenario and return its summary (the worker entry point).
+
+    The finished host is released (:meth:`~repro.core.host.Host.release`),
+    so the run is freed by reference counting as the result is dropped.
+    """
     from repro.core.runner import run_scenario
 
-    return summarize(run_scenario(scenario))
+    result = run_scenario(scenario)
+    summary = summarize(result)
+    result.host.release()
+    return summary

@@ -11,6 +11,7 @@ batch app" CPU profile of the schedulers (Fig. 4c/d).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cpu.cores import CoreSet
@@ -39,6 +40,13 @@ class DispatchEngine:
         self.device = device
         self.core_set = core_set
         self.on_complete = on_complete
+        # The scheduler's completion hook, or None when it is the base
+        # class's no-op (none): then a completion does not call it.
+        self._scheduler_complete = (
+            scheduler.on_complete
+            if type(scheduler).on_complete is not IoScheduler.on_complete
+            else None
+        )
         self.spin_cap = spin_cap
         self._lock_busy = False
         self._retry_armed_until: Optional[float] = None
@@ -49,7 +57,8 @@ class DispatchEngine:
         """Hand an admitted request to the scheduler and try to dispatch."""
         req.queued_time = self.sim.now
         self.scheduler.add(req)
-        self.pump()
+        if not self._lock_busy:
+            self.pump()
 
     def submit_batch(self, reqs: list[IoRequest]) -> None:
         """Admit several requests arriving at the same tick.
@@ -65,7 +74,8 @@ class DispatchEngine:
         for req in reqs:
             req.queued_time = now
             scheduler.add(req)
-            self.pump()
+            if not self._lock_busy:
+                self.pump()
 
     def pump(self) -> None:
         """Dispatch the next request if the lock is free."""
@@ -84,7 +94,7 @@ class DispatchEngine:
             if waiters > self.spin_cap:
                 waiters = self.spin_cap
             self.core_set.account_spin(waiters * lock_us)
-        self.sim.schedule(lock_us, lambda: self._dispatch(req))
+        self.sim.schedule(lock_us, partial(self._dispatch, req))
 
     def _arm_retry(self, retry_at: float) -> None:
         # Keep exactly one live retry timer: re-arming for a later or
@@ -115,6 +125,9 @@ class DispatchEngine:
         self.pump()
 
     def _device_complete(self, req: IoRequest) -> None:
-        self.scheduler.on_complete(req)
+        scheduler_complete = self._scheduler_complete
+        if scheduler_complete is not None:
+            scheduler_complete(req)
         self.on_complete(req)
-        self.pump()
+        if not self._lock_busy:
+            self.pump()

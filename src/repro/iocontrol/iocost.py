@@ -82,6 +82,7 @@ class _GroupCostState:
 
     __slots__ = (
         "group",
+        "path",
         "vtime",
         "pending",
         "in_flight",
@@ -94,6 +95,7 @@ class _GroupCostState:
 
     def __init__(self, group: Cgroup, vnow: float):
         self.group = group
+        self.path = group.path
         self.vtime = vnow
         # Entries are (req, forward, abs_cost): the linear-model cost is
         # priced once at submission and travels with the request.
@@ -233,8 +235,8 @@ class IoCostController(ThrottleLayer):
         }
 
     def _activate(self, state: _GroupCostState) -> None:
-        if state.group.path not in self._active:
-            self._active.add(state.group.path)
+        if state.path not in self._active:
+            self._active.add(state.path)
             # A group (re)joining starts at vnow: no banked credit.
             state.vtime = max(state.vtime, self.vnow())
             self._recompute_shares()
@@ -317,7 +319,7 @@ class IoCostController(ThrottleLayer):
             return
         margin = self._margin_us
         effective_shares = self._effective_shares
-        group_path = state.group.path
+        group_path = state.path
         sim = self.sim
         while state.pending:
             req, forward, abs_cost = state.pending[0]

@@ -67,27 +67,33 @@ class IoMaxController(ThrottleLayer):
         self.sim = sim
         self.hierarchy = hierarchy
         self.device_id = device_id
+        # Buckets and ancestor chains are keyed by the path string, so
+        # a request's admission walks plain dict lookups, no Cgroup.
         self._buckets: dict[str, _GroupBuckets | None] = {}
-        self._group_cache: dict[str, Cgroup] = {}
+        self._chains: dict[str, tuple[str, ...]] = {}
         self._throttled_in_flight = 0
         self._generation = 0
 
-    def _group(self, path: str) -> Cgroup:
-        group = self._group_cache.get(path)
-        if group is None:
-            group = self.hierarchy.find(path)
-            self._group_cache[path] = group
-        return group
+    def _chain(self, path: str) -> tuple[str, ...]:
+        """``path`` and its ancestors' paths, leaf first, kept in ``_chains``."""
+        paths = []
+        node: Cgroup | None = self.hierarchy.find(path)
+        while node is not None:
+            paths.append(node.path)
+            node = node.parent
+        chain = self._chains[path] = tuple(paths)
+        return chain
 
-    def _buckets_for(self, group: Cgroup) -> "_GroupBuckets | None":
-        cached = self._buckets.get(group.path, _MISSING)
+    def _buckets_for(self, path: str) -> "_GroupBuckets | None":
+        """The buckets of the group at ``path`` (None: unlimited), built once."""
+        cached = self._buckets.get(path, _MISSING)
         if cached is not _MISSING:
             return cached
-        limits = group.read_parsed("io.max", self.device_id)
+        limits = self.hierarchy.find(path).read_parsed("io.max", self.device_id)
         buckets = None
         if limits is not None and not limits.is_unlimited():
             buckets = _GroupBuckets(limits, self.sim.now)
-        self._buckets[group.path] = buckets
+        self._buckets[path] = buckets
         return buckets
 
     def invalidate(self) -> None:
@@ -106,12 +112,14 @@ class IoMaxController(ThrottleLayer):
     def _wait_for(self, req: IoRequest, now: float) -> float:
         """Longest wait across the group's and its ancestors' buckets."""
         wait = 0.0
-        node: Cgroup | None = self._group(req.cgroup_path)
-        while node is not None:
-            buckets = self._buckets_for(node)
+        all_buckets = self._buckets
+        chain = self._chains.get(req.cgroup_path) or self._chain(req.cgroup_path)
+        for path in chain:
+            buckets = all_buckets.get(path, _MISSING)
+            if buckets is _MISSING:
+                buckets = self._buckets_for(path)
             if buckets is not None:
                 wait = max(wait, buckets.wait_us(req, now))
-            node = node.parent
         return wait
 
     def submit(self, req: IoRequest, forward: ForwardFn) -> None:

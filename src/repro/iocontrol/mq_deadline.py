@@ -125,6 +125,9 @@ class MqDeadlineScheduler(IoScheduler):
         self._queues: dict[int, _ClassQueues] = {cls: _ClassQueues() for cls in _CLASS_ORDER}
         self._in_flight: dict[int, int] = {cls: 0 for cls in _CLASS_ORDER}
         self._seq = 0
+        # Requests held across every class (the running sum of the
+        # per-class sizes, read on every dispatch).
+        self._queued = 0
         self._affinity_cache: dict[str, float] = {}
 
     @staticmethod
@@ -135,6 +138,7 @@ class MqDeadlineScheduler(IoScheduler):
         cls = self._effective_class(req)
         self._queues[cls].push(req.queued_time, self._seq, req)
         self._seq += 1
+        self._queued += 1
 
     def _higher_busy(self, cls: PrioClass) -> bool:
         """Is any strictly higher class queued or in flight?"""
@@ -181,6 +185,7 @@ class MqDeadlineScheduler(IoScheduler):
                 assert path is not None
                 req = queues.pop_from(path)
                 self._in_flight[cls] += 1
+                self._queued -= 1
                 return req, None
 
         retry_at: Optional[float] = None
@@ -198,6 +203,7 @@ class MqDeadlineScheduler(IoScheduler):
                 continue
             req = queues.pop_from(self._pick_group(queues))
             self._in_flight[cls] += 1
+            self._queued -= 1
             return req, None
         return None, retry_at
 
@@ -207,7 +213,7 @@ class MqDeadlineScheduler(IoScheduler):
             self._in_flight[cls] -= 1
 
     def queued(self) -> int:
-        return sum(queues.size for queues in self._queues.values())
+        return self._queued
 
     def snapshot(self) -> dict[str, float]:
         """Per-priority-class backlog and in-flight depth."""

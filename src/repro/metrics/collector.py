@@ -162,7 +162,7 @@ class MetricsCollector:
     def on_complete(self, req: IoRequest) -> None:
         log = self.logs[req.app_name]
         log.times.append(req.complete_time)
-        log.latencies.append(req.latency_us)
+        log.latencies.append(req.complete_time - req.submit_time)  # req.latency_us
         log.sizes.append(req.size)
         log.ops.append(int(req.op))
         log.total_bytes += req.size

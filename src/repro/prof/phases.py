@@ -22,6 +22,8 @@ dispatch   scheduler dispatch: lock section, mq-deadline/bfq pop logic
            (repro.iocontrol.{dispatch,mq_deadline,bfq,nonectl})
 device     device service-cost computation (repro.ssd)
 faults     fault injection + retry/watchdog machinery (repro.faults)
+ctl        online control plane: SLO scoring, controller steps and
+           actuation (repro.ctl)
 obs        span recording + stack-sampler emission (repro.obs)
 pagecache  buffered-I/O page-cache machinery (repro.fs)
 host       host-level glue (repro.core.host)
@@ -41,6 +43,7 @@ PHASES: dict[str, str] = {
     "dispatch": "scheduler dispatch + lock section",
     "device": "device service-cost computation",
     "faults": "fault injection + retry machinery",
+    "ctl": "online control plane",
     "obs": "span recording + sampler emission",
     "pagecache": "page-cache machinery",
     "host": "host-level glue",
@@ -60,6 +63,7 @@ _FRAGMENT_PHASES: tuple[tuple[str, str], ...] = (
     ("repro/iocontrol/", "throttle"),
     ("repro/ssd/", "device"),
     ("repro/faults/", "faults"),
+    ("repro/ctl/", "ctl"),
     ("repro/obs/", "obs"),
     ("repro/fs/", "pagecache"),
     ("repro/core/host", "host"),

@@ -25,6 +25,9 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterator
 
+#: Slot width of the wheel at ``device_scale`` 1, in simulated microseconds.
+BASE_SLOT_WIDTH_US = 4.0
+
 # Entries are plain 4-item lists [time, seq, fn, consumed]: heapq
 # compares them with C-level list comparison (seq is unique, so fn is
 # never reached), which profiles ~1.8x faster than calling a Python
@@ -59,26 +62,29 @@ class Simulator:
     entries, re-checking the stop condition once per timestamp instead
     of once per event.
 
-    The geometry is fixed per class: ``WHEEL_SLOTS`` must be a power of
-    two (slot lookup is a bit-mask) and ``WHEEL_WIDTH_US`` is the
-    simulated-time width of one slot, so the wheel covers a
-    ``WHEEL_SLOTS * WHEEL_WIDTH_US`` horizon before events spill into
-    the overflow heap. Tests subclass to exercise other geometries.
+    Geometry: ``WHEEL_SLOTS`` (a class constant) must be a power of two
+    (slot lookup is a bit-mask); ``slot_width_us`` is the simulated-time
+    width of one slot, ``WHEEL_WIDTH_US`` unless given, so the wheel
+    covers a ``WHEEL_SLOTS * slot_width_us`` horizon before events spill
+    into the overflow heap. The (time, seq) order is exact at any width;
+    the width only sets how often the head advances and how many
+    entries share a slot. :class:`~repro.core.host.Host` scales it with
+    the scenario's ``device_scale``, which stretches every service time
+    by the same factor.
     """
 
     WHEEL_SLOTS = 256
-    WHEEL_WIDTH_US = 4.0
+    WHEEL_WIDTH_US = BASE_SLOT_WIDTH_US
 
-    def __init__(self) -> None:
+    def __init__(self, slot_width_us: float | None = None) -> None:
         nslots = self.WHEEL_SLOTS
         if nslots < 2 or nslots & (nslots - 1):
             raise SimulationError(
                 f"WHEEL_SLOTS must be a power of two >= 2, got {nslots}"
             )
-        if not (self.WHEEL_WIDTH_US > 0.0):
-            raise SimulationError(
-                f"WHEEL_WIDTH_US must be positive, got {self.WHEEL_WIDTH_US}"
-            )
+        width = self.WHEEL_WIDTH_US if slot_width_us is None else slot_width_us
+        if not (width > 0.0):
+            raise SimulationError(f"slot width must be positive, got {width}")
         # Current simulated time in microseconds. A plain attribute, not
         # a property: it is read on every schedule/accounting step across
         # the stack, and a descriptor call there is measurable. Clients
@@ -93,7 +99,7 @@ class Simulator:
         self._cancelled_popped = 0
         self._nslots = nslots
         self._mask = nslots - 1
-        self._inv_width = 1.0 / self.WHEEL_WIDTH_US
+        self._inv_width = 1.0 / width
         self._slots: list[list] = [[] for _ in range(nslots)]
         self._overflow: list = []
         self._head = 0  # absolute slot number of the ring's drain slot
@@ -265,6 +271,28 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events (O(1))."""
         return self._stored - (self._cancelled_total - self._cancelled_popped)
+
+    def release(self) -> None:
+        """Drop every pending event and its callback (a finished run).
+
+        Counts as cancelling and draining each pending event, so
+        ``events_processed`` is unchanged and ``pending_events()`` reads
+        0. Dropping the callbacks also empties every event handle a
+        component still holds, so no callback, and nothing it refers
+        to, stays reachable through the wheel.
+        """
+        live = 0
+        for entries in (*self._slots, self._overflow):
+            for entry in entries:
+                if not entry[_CANCELLED]:
+                    entry[_CANCELLED] = True
+                    live += 1
+                entry[2] = None
+            entries.clear()
+        self._cancelled_total += live
+        self._cancelled_popped += self._stored
+        self._stored = 0
+        self._active = None
 
     def pending_entries(self) -> Iterator[tuple[float, int, bool]]:
         """Debug view of ring + overflow entries as ``(time, seq, active)``.

@@ -14,6 +14,7 @@ These two primitives cover every contended resource in the model:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.sim.engine import Simulator
@@ -46,31 +47,22 @@ class QueuedServer:
     def submit(self, demand_us: float, done: Callable[[], None]) -> None:
         """Enqueue ``demand_us`` of work; ``done`` fires on completion."""
         if self._busy < self.capacity:
-            self._start(demand_us, done)
-        else:
-            self._queue.append((demand_us, done))
-
-    def _start(self, demand_us: float, done: Callable[[], None]) -> None:
-        # The start/finish pair runs once per simulated event, so the busy
-        # integral is maintained inline here and in ``fire`` rather than
-        # through _account (kept for the cold introspection paths).
-        sim = self.sim
-        now = sim.now
-        self._busy_integral += self._busy * (now - self._last_change)
-        self._last_change = now
-        self._busy += 1
-
-        def fire() -> None:
+            # A free server starts at once. The start/finish pair runs
+            # once per simulated event, so the busy integral is kept
+            # inline here and in _fire rather than through _account
+            # (kept for the cold introspection paths).
+            sim = self.sim
             now = sim.now
             self._busy_integral += self._busy * (now - self._last_change)
             self._last_change = now
-            self._busy -= 1
-            if self._queue:
-                next_demand, next_done = self._queue.popleft()
-                self._start(next_demand, next_done)
-            done()
+            self._busy += 1
+            sim.schedule(demand_us, partial(_fire, self, done))
+        else:
+            self._queue.append((demand_us, done))
 
-        sim.schedule(demand_us, fire)
+    def release(self) -> None:
+        """Drop a finished run's waiting work (callbacks into the owner)."""
+        self._queue.clear()
 
     @property
     def busy(self) -> int:
@@ -97,6 +89,25 @@ class QueuedServer:
             return 0.0
         span = (t_end - t_start) * self.capacity
         return (self.busy_integral() - integral_start) / span
+
+
+def _fire(server: QueuedServer, done: Callable[[], None]) -> None:
+    """One service ends: start the next waiter on the freed server, then ``done``.
+
+    A plain function under a per-start ``partial``: nothing on the
+    server refers back to it, so a server holds no reference cycle.
+    """
+    now = server.sim.now
+    server._busy_integral += server._busy * (now - server._last_change)
+    server._last_change = now
+    queue = server._queue
+    if queue:
+        # The freed server takes the next waiter: the busy count stays.
+        demand_us, next_done = queue.popleft()
+        server.sim.schedule(demand_us, partial(_fire, server, next_done))
+    else:
+        server._busy -= 1
+    done()
 
 
 class TokenBucket:

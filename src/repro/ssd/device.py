@@ -137,7 +137,15 @@ class SimulatedNvmeDevice:
         fixed = self._fixed_cost_cache.get(key)
         if fixed is None:
             fixed = self._fixed_cost_cache[key] = self.model.fixed_cost_us(*key)
-        flash_cost = fixed * self._noise()
+        # Service noise: the base factor plus an exponential tail.
+        model = self.model
+        tail_mean = model.noise_tail_mean
+        if tail_mean <= 0:
+            flash_cost = fixed * model.noise_base
+        else:
+            flash_cost = fixed * (
+                model.noise_base + self.rng.expovariate(1.0 / tail_mean)
+            )
         if req.op == OpType.WRITE:
             flash_cost = self.gc.amplify(flash_cost)
         injector = self.injector
@@ -163,7 +171,7 @@ class SimulatedNvmeDevice:
                 segments,
                 self.model.bus_cost_us(req.op, req.size) / segments,
             )
-        remaining_segments, per_segment_cost = plan
+        segments, per_segment_cost = plan
         if req.op == OpType.WRITE:
             per_segment_cost = self.gc.amplify(per_segment_cost)
         if self.injector is not None:
@@ -171,17 +179,22 @@ class SimulatedNvmeDevice:
             # opens while a request sits in a flash queue still slows its
             # transfer phase.
             per_segment_cost *= self.injector.service_multiplier(req.op, self.sim.now)
-        self._bus_segment(req, done, per_segment_cost, remaining_segments)
+        # The last segment completes straight into _finish.
+        if segments > 1:
+            then = partial(self._bus_segment, req, done, per_segment_cost, segments - 1)
+        else:
+            then = partial(self._finish, req, done)
+        self.bus.submit(per_segment_cost, then)
 
     def _bus_segment(
         self, req: IoRequest, done: CompletionFn, cost: float, remaining: int
     ) -> None:
-        if remaining <= 0:
-            self._finish(req, done)
-            return
-        self.bus.submit(
-            cost, partial(self._bus_segment, req, done, cost, remaining - 1)
-        )
+        """A segment ended: occupy the bus for the next of ``remaining``."""
+        if remaining > 1:
+            then = partial(self._bus_segment, req, done, cost, remaining - 1)
+        else:
+            then = partial(self._finish, req, done)
+        self.bus.submit(cost, then)
 
     def _finish(self, req: IoRequest, done: CompletionFn) -> None:
         self._in_flight -= 1
@@ -204,11 +217,15 @@ class SimulatedNvmeDevice:
             self._start(next_req, next_done)
         done(req)
 
-    def _noise(self) -> float:
-        model = self.model
-        if model.noise_tail_mean <= 0:
-            return model.noise_base
-        return model.noise_base + self.rng.expovariate(1.0 / model.noise_tail_mean)
+    def release(self) -> None:
+        """Drop what refers back here: queued work and the fault injector.
+
+        Called on a finished run (:meth:`repro.core.host.Host.release`).
+        """
+        self.flash.release()
+        self.bus.release()
+        self._boundary_queue.clear()
+        self.injector = None
 
     # ------------------------------------------------------------------
     # Introspection

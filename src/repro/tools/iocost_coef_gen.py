@@ -105,6 +105,7 @@ def calibrate_model(
         )
         result = run_scenario(scenario)
         stats = result.app_stats("probe")
+        result.host.release()
         return stats.iops, stats.bytes / (result.window_us / 1e6)
 
     rrand_iops, _ = probe(OpType.READ, Pattern.RANDOM, _PROBE_SMALL_SIZE)

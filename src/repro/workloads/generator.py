@@ -82,9 +82,6 @@ class App:
                 self.sim.schedule_at(window.start_us, self._fill)
 
     # ------------------------------------------------------------------
-    def _active(self) -> bool:
-        return self._always_active or self.spec.active_at(self.sim.now)
-
     def _arrive(self, window) -> None:
         """Open-loop Poisson arrivals, one chain per activity window."""
         if not window.start_us <= self.sim.now < window.stop_us:
@@ -147,15 +144,19 @@ class App:
 
     def _fill(self) -> None:
         """Top the queue back up to the configured depth."""
-        queue_depth = self.spec.queue_depth
+        spec = self.spec
+        queue_depth = spec.queue_depth
+        always = self._always_active
         bucket = self._bucket
         if bucket is None:
-            while self.outstanding < queue_depth and self._active():
+            while self.outstanding < queue_depth and (
+                always or spec.active_at(self.sim.now)
+            ):
                 self.outstanding += 1
                 self._issue_one()
             return
-        size = float(self.spec.size)
-        while self._active() and self.outstanding < queue_depth:
+        size = float(spec.size)
+        while (always or spec.active_at(self.sim.now)) and self.outstanding < queue_depth:
             self.outstanding += 1
             delay = bucket.reserve(size, self.sim.now)
             if delay > 0:
@@ -164,11 +165,11 @@ class App:
                 self._issue_one()
 
     def _issue_one(self) -> None:
-        if not self._active():
+        spec = self.spec
+        if not (self._always_active or spec.active_at(self.sim.now)):
             # The window closed while this submission was rate-delayed.
             self.outstanding -= 1
             return
-        spec = self.spec
         op = (
             OpType.READ
             if self.rng.random() < spec.read_fraction

@@ -22,7 +22,9 @@ from repro.sim.engine import SimulationError
 class HeapSimulator:
     """Single-pop binary-heap core with the :class:`Simulator` interface."""
 
-    def __init__(self) -> None:
+    def __init__(self, slot_width_us: float | None = None) -> None:
+        # The wheel's constructor, so the Host seam substitutes; a heap
+        # has no slots, and the width changes nothing here.
         self.now = 0.0
         self._seq = 0
         self._heap: list[list] = []
@@ -72,6 +74,17 @@ class HeapSimulator:
 
     def pending_events(self) -> int:
         return len(self._heap) - (self._cancelled_total - self._cancelled_popped)
+
+    def release(self) -> None:
+        live = 0
+        for entry in self._heap:
+            if not entry[3]:
+                entry[3] = True
+                live += 1
+            entry[2] = None
+        self._cancelled_total += live
+        self._cancelled_popped += len(self._heap)
+        self._heap.clear()
 
     def pending_entries(self) -> Iterator[tuple[float, int, bool]]:
         for entry in self._heap:

@@ -46,8 +46,8 @@ class TestSerialDifferential:
         built: list[HeapSimulator] = []
 
         class RecordingHeap(HeapSimulator):
-            def __init__(self) -> None:
-                super().__init__()
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
                 built.append(self)
 
         monkeypatch.setattr("repro.core.host.Simulator", RecordingHeap)

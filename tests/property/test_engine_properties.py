@@ -7,11 +7,14 @@ cancel-after-fire is a no-op, ``pending_events()`` is exact under any
 interleaving of schedule/cancel/run, and a random event stream fires in
 the identical order on the wheel and the oracle. Delays are drawn to
 hit the wheel's boundaries on purpose: slot-width multiples, the wheel
-horizon (``WHEEL_SLOTS * WHEEL_WIDTH_US``), zero delays, and far-future
-overflow-heap spills.
+horizon (``WHEEL_SLOTS`` times the slot width), zero delays, and
+far-future overflow-heap spills. Every property also holds on a wheel
+with the 64 us slots a Host uses at ``device_scale`` 16.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,13 +32,20 @@ class _TinyWheel(Simulator):
     WHEEL_WIDTH_US = 2.0
 
 
-WHEELS = [Simulator, _TinyWheel]
+#: The slot width a Host uses at device_scale 16 (4 us x 16).
+_ScaledWheel = partial(Simulator, slot_width_us=64.0)
+
+WHEELS = [Simulator, _TinyWheel, _ScaledWheel]
 
 #: Delays biased toward wheel boundaries: slot edges, the horizon of
-#: both geometries (1024 us default, 16 us tiny), and the overflow range.
+#: every geometry (1024 us default, 16 us tiny, 16384 us scaled), and
+#: the overflow range.
 delay_strategy = st.one_of(
     st.just(0.0),
-    st.sampled_from([2.0, 4.0, 8.0, 15.999, 16.0, 16.001, 1023.0, 1024.0, 1025.0]),
+    st.sampled_from(
+        [2.0, 4.0, 8.0, 15.999, 16.0, 16.001, 64.0, 1023.0, 1024.0, 1025.0,
+         16383.0, 16384.0, 16385.0]
+    ),
     st.floats(min_value=0.0, max_value=64.0, allow_nan=False),
     st.floats(min_value=900.0, max_value=1200.0, allow_nan=False),
     st.floats(min_value=1e4, max_value=1e6, allow_nan=False),
@@ -200,12 +210,13 @@ class TestHeapWheelEquivalence:
         """The wheel is a drop-in for the heap: same fired ids, same order,
         same final clock and processed-event count."""
         results = []
-        for make_sim in (Simulator, _TinyWheel, HeapSimulator):
+        for make_sim in (Simulator, _TinyWheel, _ScaledWheel, HeapSimulator):
             sim = make_sim()
             fired, _ = _drive(sim, ops)
             results.append((fired, sim.now, sim.events_processed))
-        assert results[0] == results[2], "wheel vs heap oracle diverge"
-        assert results[1] == results[2], "tiny wheel vs heap oracle diverge"
+        assert results[0] == results[3], "wheel vs heap oracle diverge"
+        assert results[1] == results[3], "tiny wheel vs heap oracle diverge"
+        assert results[2] == results[3], "scaled wheel vs heap oracle diverge"
 
     @given(
         st.lists(
@@ -233,3 +244,4 @@ class TestHeapWheelEquivalence:
 
         assert run(Simulator) == run(HeapSimulator)
         assert run(_TinyWheel) == run(HeapSimulator)
+        assert run(_ScaledWheel) == run(HeapSimulator)

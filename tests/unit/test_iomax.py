@@ -63,9 +63,9 @@ class TestBandwidthLimits:
             controller.submit(make_request(), lambda r: admitted.append(sim.now))
         sim.run()
         duration_s = max(admitted) / 1e6
-        effective_bps = (n * 4 * KIB - controller._buckets_for(
-            tree.find("/tenants/a")
-        ).rbps.burst) / duration_s
+        effective_bps = (
+            n * 4 * KIB - controller._buckets_for("/tenants/a").rbps.burst
+        ) / duration_s
         assert effective_bps == pytest.approx(MIB, rel=0.15)
 
     def test_write_limit_independent_of_read(self, env):

@@ -69,6 +69,8 @@ class TestPhases:
         assert phase_of_filename("/x/src/repro/sim/resources.py") == "sim"
         assert phase_of_filename("/x/src/repro/sim/engine.py") == "sim"
         assert phase_of_filename("/x/src/repro/faults/injector.py") == "faults"
+        assert phase_of_filename("/x/src/repro/ctl/plane.py") == "ctl"
+        assert phase_of_filename("/x/src/repro/ctl/controllers.py") == "ctl"
         assert phase_of_filename("/home/user/random.py") == "other"
 
     def test_windows_paths_normalize(self):

@@ -145,9 +145,10 @@ def assert_flags_synthetic_regression(record: dict) -> None:
 
 class TestCommittedTrajectory:
     """The committed BENCH_0001 -> BENCH_0002 pair records the engine
-    rewrite's measured improvement; compare must report it. The latest
-    record is CI's baseline, so compare must flag a synthetic regression
-    against it."""
+    rewrite's measured improvement, and BENCH_0003 -> BENCH_0004 the
+    request path's per-I/O overhead cut; compare must report both. The
+    latest record is CI's baseline, so compare must flag a synthetic
+    regression against it."""
 
     def records(self) -> tuple[dict, dict]:
         base = bench.load_bench(TRAJECTORY_DIR / "BENCH_0001.json")
@@ -175,6 +176,17 @@ class TestCommittedTrajectory:
         profiled = {r.name: r for r in report.rows if r.name != "exec-batch"}
         assert all(r.raw_speedup > 1.2 for r in profiled.values()), profiled
         assert "PASS" in report.render()
+
+    def test_compare_reports_request_path_speedup(self):
+        base = bench.load_bench(TRAJECTORY_DIR / "BENCH_0003.json")
+        cur = bench.load_bench(TRAJECTORY_DIR / "BENCH_0004.json")
+        assert cur["mini"] is False
+        assert cur["repeats"] == bench.FULL_REPEATS and cur["workers"] == 2
+        report = bench.compare_benches(base, cur)
+        assert report.ok, report.render()
+        speedups = {row.name: row.speedup for row in report.rows}
+        for name in ("d1-overhead", "d2-fairness", "d5-faulted"):
+            assert speedups[name] > 1.0, report.render()
 
     def test_synthetic_regression_vs_bench_0002_is_flagged(self):
         _, cur = self.records()

@@ -8,6 +8,9 @@ reference is held to the same contract it checks, and
 ``tests/differential/`` extends that claim to whole scenarios.
 """
 
+import weakref
+from functools import partial
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -25,6 +28,8 @@ class _TinyWheel(Simulator):
 SIMULATORS = {
     "batched": Simulator,
     "batched-tiny-wheel": _TinyWheel,
+    # The slot width a Host uses at device_scale 64 (4 us x 64).
+    "batched-scaled-wheel": partial(Simulator, slot_width_us=256.0),
     # The seed's heap loop, kept only as the test-local oracle.
     "legacy": HeapSimulator,
 }
@@ -36,7 +41,7 @@ def _make_sim(request):
 
 
 class TestEngineSelection:
-    """Wheel geometry is selected by subclassing; a bad one fails fast."""
+    """Slot count by subclassing, slot width by argument; a bad one fails fast."""
 
     def test_bad_wheel_geometry_rejected(self):
         class SixSlots(Simulator):
@@ -49,6 +54,10 @@ class TestEngineSelection:
             SixSlots()
         with pytest.raises(SimulationError):
             ZeroWidth()
+        with pytest.raises(SimulationError):
+            Simulator(slot_width_us=0.0)
+        with pytest.raises(SimulationError):
+            Simulator(slot_width_us=-4.0)
 
 
 class TestScheduling:
@@ -316,3 +325,39 @@ class TestDeterminism:
 
         traces = [run_once(SIMULATORS[name]) for name in sorted(SIMULATORS)]
         assert traces[0] == traces[1] == traces[2]
+
+
+class TestRelease:
+    """``release()`` ends a run: it cancels and drains every pending event."""
+
+    def test_counters_stay_consistent(self, make_sim):
+        sim = make_sim()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1.0))
+        sim.schedule(5.0, lambda: fired.append(5.0))
+        sim.schedule(9e6, lambda: fired.append(9e6))  # past the horizon
+        sim.cancel(sim.schedule(3.0, lambda: fired.append(3.0)))
+        sim.run_until(2.0)
+        processed = sim.events_processed
+        sim.release()
+        assert sim.events_processed == processed == 1
+        assert sim.pending_events() == 0
+        assert list(sim.pending_entries()) == []
+        sim.run()
+        assert fired == [1.0]
+
+    def test_callbacks_are_dropped_from_held_handles(self, make_sim):
+        # A component holding an event handle must not keep the event's
+        # callback, or whatever it refers to, alive past the run.
+        class Callback:
+            def __call__(self) -> None:
+                pass
+
+        sim = make_sim()
+        callback = Callback()
+        dropped = weakref.ref(callback)
+        handle = sim.schedule(5.0, callback)
+        del callback
+        sim.release()
+        assert not sim.event_active(handle)
+        assert dropped() is None
