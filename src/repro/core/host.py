@@ -44,7 +44,7 @@ from repro.iocontrol.nonectl import NoneScheduler
 from repro.iorequest import IoRequest, OpType, Pattern
 from repro.metrics.collector import MetricsCollector, cgroup_stats
 from repro.metrics.workconservation import WorkConservationProbe
-from repro.sim.engine import BASE_SLOT_WIDTH_US, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.ssd.array import SsdArray
 from repro.workloads.generator import App
@@ -67,8 +67,8 @@ class Host:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         # device_scale stretches every service time alike, so the wheel's
-        # slots stretch with it: the same events per slot at any scale.
-        self.sim = Simulator(slot_width_us=BASE_SLOT_WIDTH_US * scenario.device_scale)
+        # 4 us slots stretch with it: the same events per slot at any scale.
+        self.sim = Simulator(slot_width_us=4.0 * scenario.device_scale)
         self.rngs = RngStreams(scenario.seed)
         self.hierarchy = CgroupHierarchy()
         self.collector = MetricsCollector()
@@ -156,12 +156,11 @@ class Host:
         self.injectors, self.coordinator = self._build_faults()
         # What follows a submission's CPU cost, picked once per scenario:
         # straight into the block layer unless a buffered app, io.cost's
-        # saturation delay or a retry watchdog needs a look first. A
-        # plain function, so the host holds no reference to itself.
+        # saturation delay or a retry watchdog needs a look first.
         if self._any_buffered or self._saturated_extra > 0 or self.coordinator is not None:
-            self._after_submit = type(self)._after_submit_cpu
+            self._after_submit = self._after_submit_cpu
         else:
-            self._after_submit = type(self)._after_submit_cpu_direct
+            self._after_submit = self._after_submit_cpu_direct
         self.tracer, self.sampler = self._build_observability()
         self.ctl_plane, self.ctl_sampler = self._build_ctl()
         # run()'s repro.prof.SimProfile when scenario.prof is set, else
@@ -554,7 +553,7 @@ class Host:
     # ------------------------------------------------------------------
     def _submit(self, cost_us: float, req: IoRequest) -> None:
         """An app issued ``req``; each app's submit cost is bound in."""
-        self.core_set.charge(cost_us, partial(self._after_submit, self, req))
+        self.core_set.charge(cost_us, partial(self._after_submit, req))
 
     def _route_to_block_layer(self, req: IoRequest) -> None:
         """Entry below the page cache: straight into cgroup throttling."""

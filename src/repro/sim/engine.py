@@ -25,9 +25,6 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterator
 
-#: Slot width of the wheel at ``device_scale`` 1, in simulated microseconds.
-BASE_SLOT_WIDTH_US = 4.0
-
 # Entries are plain 4-item lists [time, seq, fn, consumed]: heapq
 # compares them with C-level list comparison (seq is unique, so fn is
 # never reached), which profiles ~1.8x faster than calling a Python
@@ -64,27 +61,25 @@ class Simulator:
 
     Geometry: ``WHEEL_SLOTS`` (a class constant) must be a power of two
     (slot lookup is a bit-mask); ``slot_width_us`` is the simulated-time
-    width of one slot, ``WHEEL_WIDTH_US`` unless given, so the wheel
-    covers a ``WHEEL_SLOTS * slot_width_us`` horizon before events spill
-    into the overflow heap. The (time, seq) order is exact at any width;
-    the width only sets how often the head advances and how many
-    entries share a slot. :class:`~repro.core.host.Host` scales it with
-    the scenario's ``device_scale``, which stretches every service time
-    by the same factor.
+    width of one slot, so the wheel covers a ``WHEEL_SLOTS *
+    slot_width_us`` horizon before events spill into the overflow heap.
+    The (time, seq) order is exact at any width; the width only sets how
+    often the head advances and how many entries share a slot.
+    :class:`~repro.core.host.Host` scales it with the scenario's
+    ``device_scale``, which stretches every service time by the same
+    factor.
     """
 
     WHEEL_SLOTS = 256
-    WHEEL_WIDTH_US = BASE_SLOT_WIDTH_US
 
-    def __init__(self, slot_width_us: float | None = None) -> None:
+    def __init__(self, slot_width_us: float = 4.0) -> None:
         nslots = self.WHEEL_SLOTS
         if nslots < 2 or nslots & (nslots - 1):
             raise SimulationError(
                 f"WHEEL_SLOTS must be a power of two >= 2, got {nslots}"
             )
-        width = self.WHEEL_WIDTH_US if slot_width_us is None else slot_width_us
-        if not (width > 0.0):
-            raise SimulationError(f"slot width must be positive, got {width}")
+        if not (slot_width_us > 0.0):
+            raise SimulationError(f"slot width must be positive, got {slot_width_us}")
         # Current simulated time in microseconds. A plain attribute, not
         # a property: it is read on every schedule/accounting step across
         # the stack, and a descriptor call there is measurable. Clients
@@ -99,7 +94,7 @@ class Simulator:
         self._cancelled_popped = 0
         self._nslots = nslots
         self._mask = nslots - 1
-        self._inv_width = 1.0 / width
+        self._inv_width = 1.0 / slot_width_us
         self._slots: list[list] = [[] for _ in range(nslots)]
         self._overflow: list = []
         self._head = 0  # absolute slot number of the ring's drain slot

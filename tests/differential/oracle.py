@@ -22,7 +22,7 @@ from repro.sim.engine import SimulationError
 class HeapSimulator:
     """Single-pop binary-heap core with the :class:`Simulator` interface."""
 
-    def __init__(self, slot_width_us: float | None = None) -> None:
+    def __init__(self, slot_width_us: float = 4.0) -> None:
         # The wheel's constructor, so the Host seam substitutes; a heap
         # has no slots, and the width changes nothing here.
         self.now = 0.0

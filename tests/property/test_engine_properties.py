@@ -24,13 +24,13 @@ from repro.sim.engine import Simulator
 from tests.differential.oracle import HeapSimulator
 
 
-class _TinyWheel(Simulator):
-    """A deliberately tiny wheel so short streams still exercise slot
-    wrap and overflow-heap migration."""
-
+class _EightSlots(Simulator):
     WHEEL_SLOTS = 8
-    WHEEL_WIDTH_US = 2.0
 
+
+#: A deliberately tiny wheel so short streams still exercise slot wrap
+#: and overflow-heap migration.
+_TinyWheel = partial(_EightSlots, slot_width_us=2.0)
 
 #: The slot width a Host uses at device_scale 16 (4 us x 16).
 _ScaledWheel = partial(Simulator, slot_width_us=64.0)

@@ -1,11 +1,12 @@
 """Unit tests for the discrete-event engine.
 
 Every test runs via the ``make_sim`` fixture against the slot wheel, a
-tiny wheel whose events constantly cross the horizon, and the
-test-local heap oracle (``tests/differential/oracle.py``, the seed's
-single-pop loop): the engine contract is identical by design, the
-reference is held to the same contract it checks, and
-``tests/differential/`` extends that claim to whole scenarios.
+tiny wheel whose events constantly cross the horizon, the 256 us-slot
+wheel a ``device_scale`` 64 host builds, and the test-local heap oracle
+(``tests/differential/oracle.py``, the seed's single-pop loop): the
+engine contract is identical by design, the reference is held to the
+same contract it checks, and ``tests/differential/`` extends that claim
+to whole scenarios.
 """
 
 import weakref
@@ -18,16 +19,15 @@ from repro.sim.engine import SimulationError, Simulator
 from tests.differential.oracle import HeapSimulator
 
 
-class _TinyWheel(Simulator):
-    # A deliberately tiny wheel: events constantly cross the horizon into
-    # the overflow heap and migrate back, exercising the rotation paths.
+class _FourSlots(Simulator):
     WHEEL_SLOTS = 4
-    WHEEL_WIDTH_US = 2.5
 
 
 SIMULATORS = {
     "batched": Simulator,
-    "batched-tiny-wheel": _TinyWheel,
+    # A deliberately tiny wheel: events constantly cross the horizon into
+    # the overflow heap and migrate back, exercising the rotation paths.
+    "batched-tiny-wheel": partial(_FourSlots, slot_width_us=2.5),
     # The slot width a Host uses at device_scale 64 (4 us x 64).
     "batched-scaled-wheel": partial(Simulator, slot_width_us=256.0),
     # The seed's heap loop, kept only as the test-local oracle.
@@ -47,13 +47,8 @@ class TestEngineSelection:
         class SixSlots(Simulator):
             WHEEL_SLOTS = 6
 
-        class ZeroWidth(Simulator):
-            WHEEL_WIDTH_US = 0.0
-
         with pytest.raises(SimulationError):
             SixSlots()
-        with pytest.raises(SimulationError):
-            ZeroWidth()
         with pytest.raises(SimulationError):
             Simulator(slot_width_us=0.0)
         with pytest.raises(SimulationError):
@@ -132,7 +127,7 @@ class TestScheduling:
         assert seen == ["a", "b", "c", "d"]
 
     def test_far_future_events_cross_the_wheel_horizon(self, make_sim):
-        # Delays far beyond WHEEL_SLOTS * WHEEL_WIDTH_US must still fire
+        # Delays far beyond WHEEL_SLOTS * slot_width_us must still fire
         # in order (overflow heap + migration on rotation).
         sim = make_sim()
         seen = []
@@ -323,8 +318,9 @@ class TestDeterminism:
             sim.run_until(2500.0)
             return trace
 
-        traces = [run_once(SIMULATORS[name]) for name in sorted(SIMULATORS)]
-        assert traces[0] == traces[1] == traces[2]
+        oracle = run_once(SIMULATORS["legacy"])
+        for name, make_sim in SIMULATORS.items():
+            assert run_once(make_sim) == oracle, f"{name} diverges from the heap oracle"
 
 
 class TestRelease:
