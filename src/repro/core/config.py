@@ -37,8 +37,6 @@ class KnobConfig:
 
     #: key into :data:`repro.cpu.model.KNOB_PROFILES`
     profile_name = "none"
-    #: which scheduler the knob requires ("none" | "mq-deadline" | "bfq")
-    scheduler_name = "none"
     #: human-readable label used in reports
     label = "none"
 
@@ -54,7 +52,6 @@ class NoneKnob(KnobConfig):
     """Baseline: no cgroup I/O control, none scheduler."""
 
     profile_name = "none"
-    scheduler_name = "none"
     label = "none"
 
 
@@ -71,7 +68,6 @@ class MqDeadlineKnob(KnobConfig):
     prio_aging_expire_us: float = 2_000_000.0
 
     profile_name = "mq-deadline"
-    scheduler_name = "mq-deadline"
     label = "mq-dl+io.prio.class"
 
     def configure(self, hierarchy: CgroupHierarchy, device_ids: list[str]) -> None:
@@ -95,7 +91,6 @@ class BfqKnob(KnobConfig):
     slice_timeout_us: float = 25_000.0
 
     profile_name = "bfq"
-    scheduler_name = "bfq"
     label = "bfq+io.bfq.weight"
 
     def configure(self, hierarchy: CgroupHierarchy, device_ids: list[str]) -> None:
@@ -115,7 +110,6 @@ class IoMaxKnob(KnobConfig):
     limits: dict[str, dict[str, float]] = field(default_factory=dict)
 
     profile_name = "io.max"
-    scheduler_name = "none"
     label = "io.max"
 
     def configure(self, hierarchy: CgroupHierarchy, device_ids: list[str]) -> None:
@@ -143,7 +137,6 @@ class DynamicIoMaxKnob(KnobConfig):
     idle_floor_fraction: float = 0.05
 
     profile_name = "io.max"
-    scheduler_name = "none"
     label = "io.max (managed)"
 
 
@@ -154,7 +147,6 @@ class IoLatencyKnob(KnobConfig):
     targets_us: dict[str, float] = field(default_factory=dict)
 
     profile_name = "io.latency"
-    scheduler_name = "none"
     label = "io.latency"
 
     def configure(self, hierarchy: CgroupHierarchy, device_ids: list[str]) -> None:
@@ -184,7 +176,6 @@ class IoCostKnob(KnobConfig):
     model_conservatism: float = 0.78
 
     profile_name = "io.cost"
-    scheduler_name = "none"
     label = "io.cost+io.weight"
 
     def resolve_model(self, ssd: SsdModel) -> IoCostModelParams:

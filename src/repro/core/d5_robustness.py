@@ -150,10 +150,6 @@ class KnobRobustness:
         ratios = [self.p99_ratio(name) for name in sorted(self.degraded)]
         return seq_sum(ratios) / len(ratios)
 
-    @property
-    def worst_p99_ratio(self) -> float:
-        return max(self.p99_ratio(name) for name in sorted(self.degraded))
-
 
 @dataclass
 class RobustnessTable:

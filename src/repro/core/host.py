@@ -139,19 +139,6 @@ class Host:
         ]
         self._any_buffered = any(not spec.direct for spec in self.scenario.apps)
         self._saturated_extra = self.profile.saturated_extra_latency_us
-        # Vectorized warm-up of the per-device cost memos: every
-        # (op, pattern, size) shape the scenario can issue is evaluated
-        # in one batch (numpy when available), so no request pays the
-        # model arithmetic on first touch. Bit-identical to the lazy
-        # scalar fills it replaces.
-        cost_keys: dict[tuple, None] = {}
-        for spec in self.scenario.apps:
-            if spec.read_fraction > 0.0:
-                cost_keys[(OpType.READ, spec.pattern, spec.size)] = None
-            if spec.read_fraction < 1.0:
-                cost_keys[(OpType.WRITE, spec.pattern, spec.size)] = None
-        for device in self.devices.devices:
-            device.warm_costs(cost_keys)
         self.iomax_managers = self._build_iomax_managers()
         self.injectors, self.coordinator = self._build_faults()
         # What follows a submission's CPU cost, picked once per scenario:
@@ -260,11 +247,6 @@ class Host:
                 rng=self.rngs.stream(f"app.{spec.name}"),
                 device_index=self.devices.device_for_app(app_index),
                 prio_class=prio,
-                arrival_rng=(
-                    self.rngs.stream(f"app.{spec.name}.arrivals")
-                    if spec.macro_tick_us is not None
-                    else None
-                ),
             )
             apps[spec.name] = app
         return apps
@@ -673,14 +655,16 @@ class Host:
         waits for the cyclic garbage collector, with every request
         still queued or in flight. A caller that drops a finished host
         calls this instead: it drops the pending events with their
-        callbacks, the work queued on the CPU and device servers, and
-        then the host's own references. The host must not be used
-        afterwards.
+        callbacks, the work queued on the CPU and device servers, the
+        cgroup tree's child links, and then the host's own references.
+        The host must not be used afterwards.
         """
         self.sim.release()
         self.core_set.server.release()
         for device in self.devices.devices:
             device.release()
+        for group in list(self.hierarchy.groups()):
+            group.children.clear()
         vars(self).clear()
 
     # ------------------------------------------------------------------

@@ -44,11 +44,6 @@ class CoreSet:
         if spin_us > 0:
             self._spin_integral += spin_us
 
-    @property
-    def run_queue_depth(self) -> int:
-        """Work items waiting for a core right now."""
-        return self.server.queue_depth
-
     def is_saturated(self, backlog_threshold: int = 4) -> bool:
         """Heuristic saturation probe: a persistent run-queue backlog.
 

@@ -52,7 +52,10 @@ from repro.exec.summary import SUMMARY_SCHEMA_VERSION
 #: rewrite knob files mid-run, which no pre-v4 simulator could.
 #: v5: columnar entry files (``*.entry``: JSON header plus raw column
 #: bytes) replace gzipped pickles; summaries hold numpy completion logs.
-SCHEMA_VERSION = 5
+#: v6: JobSpec.macro_tick_us is gone — specs render one field fewer, and
+#: older entries, whose scenario text names it, must read as ``schema``
+#: rather than fail to decode as ``corrupt``.
+SCHEMA_VERSION = 6
 
 _SALT = f"isolbench-cache:v{SCHEMA_VERSION}:summary-v{SUMMARY_SCHEMA_VERSION}"
 

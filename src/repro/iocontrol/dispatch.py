@@ -60,23 +60,6 @@ class DispatchEngine:
         if not self._lock_busy:
             self.pump()
 
-    def submit_batch(self, reqs: list[IoRequest]) -> None:
-        """Admit several requests arriving at the same tick.
-
-        Behaviorally identical to calling :meth:`submit` per request in
-        order; the device's cost memos are filled by one vectorized
-        evaluation before the first admission (macro-tick arrival
-        batches land here).
-        """
-        self.device.precompute_costs(reqs)
-        now = self.sim.now
-        scheduler = self.scheduler
-        for req in reqs:
-            req.queued_time = now
-            scheduler.add(req)
-            if not self._lock_busy:
-                self.pump()
-
     def pump(self) -> None:
         """Dispatch the next request if the lock is free."""
         if self._lock_busy:

@@ -124,11 +124,6 @@ class IoRequest:
         """App-visible completion latency."""
         return self.complete_time - self.submit_time
 
-    @property
-    def throttle_wait_us(self) -> float:
-        """Time spent held back by cgroup I/O control."""
-        return self.queued_time - self.submit_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"IoRequest({self.app_name}, {self.op.name}, {self.pattern.name}, "

@@ -20,7 +20,7 @@ from collections import deque
 from functools import partial
 from typing import Callable
 
-from repro.iorequest import IoRequest, OpType, Pattern
+from repro.iorequest import IoRequest, OpType
 from repro.sim.engine import Simulator
 from repro.sim.resources import QueuedServer
 from repro.ssd.gc import GcState
@@ -63,66 +63,8 @@ class SimulatedNvmeDevice:
         self._bus_plan_cache: dict[tuple, tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
-    # Batch cost evaluation
-    # ------------------------------------------------------------------
-    def warm_costs(self, keys) -> None:
-        """Populate the cost memos for ``(op, pattern, size)`` triples.
-
-        Unseen keys are evaluated through :meth:`SsdModel.batch_costs`
-        in one vectorized pass; because the batch path is bit-identical
-        to the scalar methods, warming never changes results — it only
-        moves the model arithmetic off the submission hot path.
-        """
-        fixed_cache = self._fixed_cost_cache
-        bus_cache = self._bus_plan_cache
-        new_fixed: dict[tuple, None] = {}
-        new_bus: dict[tuple, None] = {}
-        for op, pattern, size in keys:
-            fixed_key = (op, pattern)
-            if fixed_key not in fixed_cache:
-                new_fixed[fixed_key] = None
-            bus_key = (op, size)
-            if bus_key not in bus_cache:
-                new_bus[bus_key] = None
-        if not new_fixed and not new_bus:
-            return
-        ops: list[OpType] = []
-        patterns: list = []
-        sizes: list[int] = []
-        for op, pattern in new_fixed:
-            ops.append(op)
-            patterns.append(pattern)
-            sizes.append(0)
-        for op, size in new_bus:
-            ops.append(op)
-            patterns.append(Pattern.RANDOM)
-            sizes.append(size)
-        fixed, _bus, segments, per_segment = self.model.batch_costs(
-            ops, patterns, sizes
-        )
-        for i, key in enumerate(new_fixed):
-            fixed_cache[key] = fixed[i]
-        offset = len(new_fixed)
-        for i, key in enumerate(new_bus):
-            bus_cache[key] = (segments[offset + i], per_segment[offset + i])
-
-    def precompute_costs(self, reqs) -> None:
-        """Vectorized cost warm-up for a batch of same-tick submissions."""
-        self.warm_costs((req.op, req.pattern, req.size) for req in reqs)
-
-    # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
-    def submit_batch(self, pairs) -> None:
-        """Submit ``(req, done)`` pairs arriving at the same tick.
-
-        Equivalent to calling :meth:`submit` per pair in order, with the
-        cost memos filled by one batch evaluation up front.
-        """
-        self.precompute_costs(req for req, _ in pairs)
-        for req, done in pairs:
-            self.submit(req, done)
-
     def submit(self, req: IoRequest, done: CompletionFn) -> None:
         """Accept a request; ``done(req)`` fires at device completion."""
         if self._in_flight >= self.model.nvme_max_qd:

@@ -10,10 +10,6 @@ effects the paper relies on:
 * sustained random-write bandwidth collapses to ``nominal / WAF``;
 * reads queued behind amplified writes suffer interference, collapsing
   aggregate mixed read/write bandwidth (Fig. 6b).
-
-An optional *pause injector* additionally blocks a fraction of flash
-units periodically, modelling foreground GC stalls (tail-latency spikes);
-it is off by default so scenario results stay smooth and deterministic.
 """
 
 from __future__ import annotations
@@ -85,44 +81,3 @@ class GcState:
         """Scale a write's service cost by the current amplification."""
         return cost_us * self.write_amplification
 
-
-class GcPauseInjector:
-    """Optional periodic GC stalls.
-
-    Every ``interval_us`` of amplified-write activity, occupies
-    ``units`` flash units for ``pause_us``, creating the latency spikes
-    real drives exhibit under sustained writes. Used by failure-injection
-    tests and the GC ablation bench.
-    """
-
-    def __init__(self, sim, flash_server, interval_us: float, pause_us: float, units: int):
-        if interval_us <= 0 or pause_us <= 0 or units < 1:
-            raise ValueError("GC pause parameters must be positive")
-        self.sim = sim
-        self.flash = flash_server
-        self.interval_us = interval_us
-        self.pause_us = pause_us
-        self.units = min(units, flash_server.capacity)
-        self._running = False
-
-    def start(self) -> None:
-        """Begin injecting pauses (idempotent)."""
-        if self._running:
-            return
-        self._running = True
-        self.sim.schedule(self.interval_us, self._inject)
-
-    def stop(self) -> None:
-        """Stop after the current cycle."""
-        self._running = False
-
-    def _inject(self) -> None:
-        if not self._running:
-            return
-        for _ in range(self.units):
-            self.flash.submit(self.pause_us, _noop)
-        self.sim.schedule(self.interval_us, self._inject)
-
-
-def _noop() -> None:
-    return None

@@ -17,9 +17,6 @@ regimes the paper measures (IOPS-bound at 4 KiB, bandwidth-bound at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as _np
 
 from repro.iorequest import GIB, OpType, Pattern
 
@@ -103,55 +100,6 @@ class SsdModel:
         """Data-bus occupancy for one request."""
         bps = self.read_bus_bps if op == OpType.READ else self.write_bus_bps
         return size / bps * 1e6
-
-    def batch_costs(
-        self,
-        ops: Sequence[OpType],
-        patterns: Sequence[Pattern],
-        sizes: Sequence[int],
-    ) -> tuple[list[float], list[float], list[int], list[float]]:
-        """Evaluate per-request service costs for a batch of submissions.
-
-        Returns ``(fixed_us, bus_us, segments, per_segment_us)`` aligned
-        with the inputs, where ``segments`` is the bus interleaving plan
-        (``ceil(size / bus_segment_bytes)``, at least 1) and
-        ``per_segment_us = bus_us / segments``.
-
-        The numpy path performs the *same IEEE-754 double operations*
-        element-wise as the scalar methods, so every returned float is
-        bit-identical to ``fixed_cost_us`` / ``bus_cost_us`` — callers
-        (and the differential suite) may memoize either path
-        interchangeably. Single-element batches take the scalar path.
-        """
-        n = len(sizes)
-        if len(ops) != n or len(patterns) != n:
-            raise ValueError("batch_costs inputs must have equal length")
-        if n < 2:
-            fixed = [self.fixed_cost_us(op, pat) for op, pat in zip(ops, patterns)]
-            bus = [self.bus_cost_us(op, size) for op, size in zip(ops, sizes)]
-            segments = [max(1, -(-size // self.bus_segment_bytes)) for size in sizes]
-            per_segment = [b / s for b, s in zip(bus, segments)]
-            return fixed, bus, segments, per_segment
-        is_read = _np.fromiter((op == OpType.READ for op in ops), dtype=bool, count=n)
-        is_random = _np.fromiter(
-            (pat == Pattern.RANDOM for pat in patterns), dtype=bool, count=n
-        )
-        size_arr = _np.fromiter(sizes, dtype=_np.int64, count=n)
-        fixed_arr = _np.where(
-            is_read,
-            _np.where(is_random, self.read_fixed_us, self.seq_read_fixed_us),
-            _np.where(is_random, self.write_fixed_us, self.seq_write_fixed_us),
-        )
-        bps = _np.where(is_read, self.read_bus_bps, self.write_bus_bps)
-        bus_arr = size_arr / bps * 1e6
-        seg_arr = _np.maximum(1, -(-size_arr // self.bus_segment_bytes))
-        per_segment_arr = bus_arr / seg_arr
-        return (
-            fixed_arr.tolist(),
-            bus_arr.tolist(),
-            seg_arr.tolist(),
-            per_segment_arr.tolist(),
-        )
 
     def saturation_iops(self, op: OpType, pattern: Pattern, size: int) -> float:
         """Nominal saturation throughput for a uniform workload."""

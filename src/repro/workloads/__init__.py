@@ -12,7 +12,8 @@ batch-apps (QD=256 4 KiB random reads, bandwidth hungry) and BE-apps
 
 :class:`~repro.workloads.generator.App` is the runtime driver: a
 closed-loop issuer that keeps ``queue_depth`` requests outstanding,
-honouring rate limits and activity windows.
+honouring rate limits and activity windows, or an open-loop one that
+issues on a Poisson arrival chain per arrival phase.
 """
 
 from repro.workloads.spec import JobSpec, ActivityWindow, ArrivalPhase

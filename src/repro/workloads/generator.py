@@ -1,23 +1,24 @@
-"""The closed-loop workload driver (fio's engine loop).
+"""The workload driver (fio's engine loop).
 
 An :class:`App` keeps ``queue_depth`` requests outstanding while inside
 an activity window, picks each request's direction from the job's read
 fraction, honours the job's rate limit by delaying submissions (fio's
 ``rate=`` semantics), and stops issuing -- letting in-flight requests
-drain -- when a window closes.
+drain -- when a window closes. An open-loop job instead issues on a
+Poisson arrival chain per :class:`~repro.workloads.spec.ArrivalPhase`,
+whatever completes.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.iorequest import IoRequest, OpType
 from repro.sim.engine import Simulator
 from repro.sim.resources import TokenBucket
-from repro.workloads.spec import JobSpec
+from repro.workloads.spec import ArrivalPhase, JobSpec
 
 SubmitFn = Callable[[IoRequest], None]
 
@@ -33,7 +34,6 @@ class App:
         rng: random.Random,
         device_index: int = 0,
         prio_class: int = 0,
-        arrival_rng: Optional[random.Random] = None,
     ):
         self.sim = sim
         self.spec = spec
@@ -43,10 +43,15 @@ class App:
         self.prio_class = prio_class
         self.outstanding = 0
         self.issued = 0
-        # Macro-tick mode draws inter-arrival gaps from a dedicated
-        # stream so the op-direction stream (self.rng) is untouched.
-        self._arrival_rng = arrival_rng
-        self._arrival_carry: dict = {}
+        # Open-loop jobs run one arrival chain per phase; a constant
+        # rate is one phase per activity window. None for closed loop.
+        phases = spec.arrival_phases
+        if phases is None and spec.arrival_rate_iops is not None:
+            phases = tuple(
+                ArrivalPhase(window.start_us, window.stop_us, spec.arrival_rate_iops)
+                for window in spec.windows
+            )
+        self._phases = phases
         self._bucket: TokenBucket | None = None
         if spec.rate_limit_bps is not None:
             rate_per_us = spec.rate_limit_bps / 1e6
@@ -60,46 +65,25 @@ class App:
         )
 
     def start(self) -> None:
-        """Arm window-start events."""
-        if self.spec.arrival_phases is not None:
-            for phase in self.spec.arrival_phases:
+        """Arm window-start (or phase-start) events."""
+        if self._phases is not None:
+            for phase in self._phases:
                 self.sim.schedule_at(
                     phase.start_us, lambda p=phase: self._arrive_phase(p)
                 )
-        elif self.spec.arrival_rate_iops is not None:
-            if self.spec.macro_tick_us is not None:
-                for window in self.spec.windows:
-                    self.sim.schedule_at(
-                        window.start_us, lambda w=window: self._macro_tick(w)
-                    )
-            else:
-                for window in self.spec.windows:
-                    self.sim.schedule_at(
-                        window.start_us, lambda w=window: self._arrive(w)
-                    )
         else:
             for window in self.spec.windows:
                 self.sim.schedule_at(window.start_us, self._fill)
 
     # ------------------------------------------------------------------
-    def _arrive(self, window) -> None:
-        """Open-loop Poisson arrivals, one chain per activity window."""
-        if not window.start_us <= self.sim.now < window.stop_us:
-            return
-        self.outstanding += 1
-        self._issue_one()
-        gap = self.rng.expovariate(self.spec.arrival_rate_iops / 1e6)
-        self.sim.schedule(gap, lambda: self._arrive(window))
-
-    def _arrive_phase(self, phase) -> None:
+    def _arrive_phase(self, phase: ArrivalPhase) -> None:
         """Open-loop Poisson arrivals at a phase's rate, one chain each.
 
-        Identical mechanics to :meth:`_arrive` (same RNG stream, so a
-        single-phase job reproduces a constant-rate job bit-for-bit),
-        but the rate is the phase's own: each phase of the timeline
-        runs its chain inside ``[start_us, stop_us)`` and dies at the
-        boundary, where the next phase's chain -- armed at
-        :meth:`start` -- takes over at its rate.
+        Each phase runs its chain inside ``[start_us, stop_us)`` and
+        dies at the boundary, where the next phase's chain -- armed at
+        :meth:`start` -- takes over at its rate. Gaps are drawn from the
+        app's own stream, so a constant-rate job and the same job
+        written as one phase per window draw identical arrivals.
         """
         if not phase.start_us <= self.sim.now < phase.stop_us:
             return
@@ -107,40 +91,6 @@ class App:
         self._issue_one()
         gap = self.rng.expovariate(phase.rate_iops / 1e6)
         self.sim.schedule(gap, lambda: self._arrive_phase(phase))
-
-    def _macro_tick(self, window) -> None:
-        """Open-loop arrivals, one engine callback per macro tick.
-
-        Every arrival whose (pre-drawn) Poisson timestamp falls inside
-        ``[now, now + macro_tick_us)`` is issued together at the tick
-        boundary; the residual gap carries into the next tick so the
-        long-run arrival rate is exact. Compared to :meth:`_arrive`
-        this quantizes submit times to the tick but replaces one engine
-        callback per request with one per tick.
-        """
-        if not window.start_us <= self.sim.now < window.stop_us:
-            return
-        tick = self.spec.macro_tick_us
-        arrival_rng = self._arrival_rng
-        if arrival_rng is None:
-            arrival_rng = self._arrival_rng = random.Random(
-                zlib.crc32(self.spec.name.encode())
-            )
-        expovariate = arrival_rng.expovariate
-        rate_per_us = self.spec.arrival_rate_iops / 1e6
-        carry = self._arrival_carry.pop(window, None)
-        if carry is None:
-            # First tick of this window: draw the gap to its first arrival.
-            carry = expovariate(rate_per_us)
-        count = 0
-        while carry < tick:
-            count += 1
-            carry += expovariate(rate_per_us)
-        self._arrival_carry[window] = carry - tick
-        for _ in range(count):
-            self.outstanding += 1
-            self._issue_one()
-        self.sim.schedule(tick, lambda: self._macro_tick(window))
 
     def _fill(self) -> None:
         """Top the queue back up to the configured depth."""
@@ -191,5 +141,5 @@ class App:
     def on_complete(self, req: IoRequest) -> None:
         """Called by the host when one of this app's requests completes."""
         self.outstanding -= 1
-        if self.spec.arrival_rate_iops is None and self.spec.arrival_phases is None:
+        if self._phases is None:
             self._fill()

@@ -11,7 +11,7 @@ import pytest
 
 from repro import IoMaxKnob, MIB, NoneKnob, Scenario, run_scenario
 from repro.core.host import Host
-from repro.ssd.gc import GcPauseInjector
+from repro.faults import FaultPlan, LatencySpike
 from repro.workloads.apps import batch_app, lc_app
 
 
@@ -31,22 +31,32 @@ def scenario(knob, apps, **overrides):
 
 class TestGcPauses:
     def run_lc_with_pauses(self, pause_us):
-        host = Host(
-            scenario(NoneKnob(), [lc_app("lc", "/t/lc")], device_scale=1.0, cores=1)
-        )
+        faults = None
         if pause_us:
             # Block every flash unit: a full-device GC stall. The stall
             # recurs often enough that >1% of a QD=1 app's requests hit
             # one (a closed-loop app only ever has one request exposed
             # per stall).
-            injector = GcPauseInjector(
-                host.sim,
-                host.devices[0].flash,
-                interval_us=8_000.0,
-                pause_us=pause_us,
-                units=host.devices[0].model.parallelism,
+            faults = FaultPlan(
+                label="gc-pause",
+                spikes=(
+                    LatencySpike(
+                        first_at_us=8_000.0,
+                        period_us=8_000.0,
+                        stall_us=pause_us,
+                        unit_fraction=1.0,
+                    ),
+                ),
             )
-            injector.start()
+        host = Host(
+            scenario(
+                NoneKnob(),
+                [lc_app("lc", "/t/lc")],
+                device_scale=1.0,
+                cores=1,
+                faults=faults,
+            )
+        )
         host.run()
         return host.collector.logs["lc"].stats(0.1e6, 0.3e6)
 

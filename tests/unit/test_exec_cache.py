@@ -74,7 +74,7 @@ class TestRoundTrip:
         _, scenario, good, _, header_end = entry
         assert good.startswith(b"isolbench-entry\n")
         header = json.loads(good[28:header_end])
-        assert header["schema_version"] == SCHEMA_VERSION == 5
+        assert header["schema_version"] == SCHEMA_VERSION == 6
         assert header["key"] == KEY
         assert [app[0] for app in header["apps"]] == ["batch0", "lc0"]
         assert header["scenario"].startswith("D:repro.core.config.Scenario{")

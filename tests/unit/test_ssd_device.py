@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, LatencySpike
 from repro.iorequest import GIB, KIB, IoRequest, OpType, Pattern
 from repro.sim.engine import Simulator
 from repro.ssd.device import SimulatedNvmeDevice
-from repro.ssd.gc import GcPauseInjector, GcState
+from repro.ssd.gc import GcState
 from repro.ssd.model import GcParams, SsdModel
 
 
@@ -173,36 +174,18 @@ class TestGcState:
         assert latency == pytest.approx(expected)
 
 
-class TestGcPauseInjector:
-    def test_invalid_parameters_rejected(self):
-        sim = Simulator()
-        device = SimulatedNvmeDevice(sim, quiet_model(), random.Random(0))
-        with pytest.raises(ValueError):
-            GcPauseInjector(sim, device.flash, interval_us=0, pause_us=1, units=1)
-
-    def test_pauses_occupy_flash_units(self):
+class TestSpikeStall:
+    def test_stall_occupies_flash_units(self):
         sim = Simulator()
         model = quiet_model(parallelism=1)
         device = SimulatedNvmeDevice(sim, model, random.Random(0))
-        injector = GcPauseInjector(
-            sim, device.flash, interval_us=10.0, pause_us=100.0, units=1
+        plan = FaultPlan(
+            spikes=(LatencySpike(first_at_us=10.0, period_us=10.0, stall_us=100.0),)
         )
-        injector.start()
-        sim.run_until(15.0)  # first pause injected at t=10
+        FaultInjector(sim, device, plan, random.Random(0)).start()
+        sim.run_until(15.0)  # first stall injected at t=10
         done = []
         device.submit(make_request(), lambda r: done.append(sim.now))
         sim.run_until(500.0)
-        # The request had to wait for the 100us pause to clear.
+        # The request had to wait for the 100us stall to clear.
         assert done and done[0] > 110.0
-        injector.stop()
-
-    def test_stop_halts_injection(self):
-        sim = Simulator()
-        device = SimulatedNvmeDevice(sim, quiet_model(), random.Random(0))
-        injector = GcPauseInjector(
-            sim, device.flash, interval_us=10.0, pause_us=1.0, units=1
-        )
-        injector.start()
-        injector.stop()
-        sim.run_until(100.0)
-        assert device.flash.busy == 0

@@ -17,7 +17,6 @@ from repro.workloads.patterns import (
 from repro.workloads.spec import (
     ActivityWindow,
     ArrivalPhase,
-    CgroupAppGroup,
     JobSpec,
 )
 
@@ -105,12 +104,6 @@ class TestAppPresets:
         assert spec.app_class == "be"
 
 
-class TestCgroupAppGroup:
-    def test_mismatched_spec_rejected(self):
-        with pytest.raises(ValueError):
-            CgroupAppGroup("/g", (JobSpec(name="j", cgroup_path="/other"),))
-
-
 class TestAppDriver:
     @staticmethod
     def run_app(spec, duration_us, complete_after_us=10.0):
@@ -185,9 +178,9 @@ class TestAppDriver:
         assert len(submitted) <= 25  # ~20 expected
 
     def test_phased_single_phase_reproduces_constant_rate(self):
-        """The compatibility bar for the arrival_phases refactor: one
-        open-ended phase must draw the identical arrival sequence as the
-        constant-rate open-loop path (same RNG stream, same chaining)."""
+        """A constant-rate job runs as one phase per activity window, so
+        one open-ended phase must draw the identical arrival sequence
+        (same RNG stream, same chaining)."""
         constant = JobSpec(name="j", cgroup_path="/g", arrival_rate_iops=10_000.0)
         phased = JobSpec(
             name="j",
@@ -284,15 +277,6 @@ class TestPhasedJobSpec:
                 name="j",
                 cgroup_path="/g",
                 rate_limit_bps=1e6,
-                arrival_phases=self.phases(),
-            )
-
-    def test_phased_job_cannot_macro_tick(self):
-        with pytest.raises(ValueError):
-            JobSpec(
-                name="j",
-                cgroup_path="/g",
-                macro_tick_us=100.0,
                 arrival_phases=self.phases(),
             )
 
