@@ -66,9 +66,7 @@ class Host:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        # device_scale stretches every service time alike, so the wheel's
-        # 4 us slots stretch with it: the same events per slot at any scale.
-        self.sim = Simulator(slot_width_us=4.0 * scenario.device_scale)
+        self.sim = Simulator()
         self.rngs = RngStreams(scenario.seed)
         self.hierarchy = CgroupHierarchy()
         self.collector = MetricsCollector()
@@ -141,13 +139,28 @@ class Host:
         self._saturated_extra = self.profile.saturated_extra_latency_us
         self.iomax_managers = self._build_iomax_managers()
         self.injectors, self.coordinator = self._build_faults()
+        # The coordinator acts only on device errors and watchdog
+        # timeouts. A plan with neither keeps it for its (zero) counters,
+        # and the request path never calls it.
+        faults = scenario.faults
+        self._retries = (
+            self.coordinator
+            if faults is not None and (faults.errors or faults.retry.timeout_us > 0)
+            else None
+        )
         # What follows a submission's CPU cost, picked once per scenario:
-        # straight into the block layer unless a buffered app, io.cost's
-        # saturation delay or a retry watchdog needs a look first.
-        if self._any_buffered or self._saturated_extra > 0 or self.coordinator is not None:
+        # straight into the block layer unless a buffered app or the
+        # retry coordinator needs a look first, or io.cost's saturation
+        # delay alone does.
+        if self._any_buffered or self._retries is not None:
             self._after_submit = self._after_submit_cpu
+        elif self._saturated_extra > 0:
+            self._after_submit = self._after_submit_cpu_iocost
         else:
             self._after_submit = self._after_submit_cpu_direct
+        self._iocost_timer = (
+            self.rngs.stream("iocost.timer") if self._saturated_extra > 0 else None
+        )
         self.tracer, self.sampler = self._build_observability()
         self.ctl_plane, self.ctl_sampler = self._build_ctl()
         # run()'s repro.prof.SimProfile when scenario.prof is set, else
@@ -535,7 +548,7 @@ class Host:
     # ------------------------------------------------------------------
     def _submit(self, cost_us: float, req: IoRequest) -> None:
         """An app issued ``req``; each app's submit cost is bound in."""
-        self.core_set.charge(cost_us, partial(self._after_submit, req))
+        self.core_set.charge(cost_us, self._after_submit, req)
 
     def _route_to_block_layer(self, req: IoRequest) -> None:
         """Entry below the page cache: straight into cgroup throttling."""
@@ -553,14 +566,21 @@ class Host:
         is waiting on them and the cache has its own completion
         bookkeeping.
         """
-        coordinator = self.coordinator
-        if coordinator is not None and req.app_name in self.apps:
-            coordinator.watch(req)
+        retries = self._retries
+        if retries is not None and req.app_name in self.apps:
+            retries.watch(req)
         self._block_entries[req.device_index](req)
 
     def _after_submit_cpu_direct(self, req: IoRequest) -> None:
         """Submit CPU paid, nothing in between: into the block layer."""
         self._block_entries[req.device_index](req)
+
+    def _after_submit_cpu_iocost(self, req: IoRequest) -> None:
+        """Submit CPU paid, only io.cost's timer lag to check: the block layer."""
+        if self.core_set.is_saturated():
+            self._lag_iocost_timer(req)
+        else:
+            self._block_entries[req.device_index](req)
 
     def _after_submit_cpu(self, req: IoRequest) -> None:
         """Submit CPU paid: page cache, io.cost timer lag, then the block layer."""
@@ -570,14 +590,19 @@ class Host:
                 cache = self.page_caches[req.device_index]
                 cache.submit_buffered(req, self._finish)
                 return
-        extra = self._saturated_extra
-        if extra > 0 and self.core_set.is_saturated():
-            # io.cost defers work to per-period timers; under CPU
-            # saturation those timers lag, inflating latency (O1).
-            delay = extra * (0.5 + self.rngs.stream("iocost.timer").random())
-            self.sim.schedule(delay, lambda: self._enter_block_layer(req))
+        if self._saturated_extra > 0 and self.core_set.is_saturated():
+            self._lag_iocost_timer(req)
         else:
             self._enter_block_layer(req)
+
+    def _lag_iocost_timer(self, req: IoRequest) -> None:
+        """Enter the block layer after io.cost's timer lag.
+
+        io.cost defers work to per-period timers; under CPU saturation
+        those timers lag, inflating latency (O1).
+        """
+        delay = self._saturated_extra * (0.5 + self._iocost_timer.random())
+        self.sim.schedule(delay, lambda: self._enter_block_layer(req))
 
     def _on_device_complete(self, req: IoRequest) -> None:
         throttle_complete = self._throttle_completes[req.device_index]
@@ -585,11 +610,11 @@ class Host:
             throttle_complete(req)
         # Kernel-side requests (writeback) complete at batched cost.
         cost = self._complete_cost_us.get(req.app_name, self._writeback_complete_cost_us)
-        self.core_set.charge(cost, partial(self._finish, req))
+        self.core_set.charge(cost, self._finish, req)
 
     def _finish(self, req: IoRequest) -> None:
-        coordinator = self.coordinator
-        if coordinator is not None and not coordinator.resolve(req):
+        retries = self._retries
+        if retries is not None and not retries.resolve(req):
             # Stale (watchdog-abandoned), retried, or delivered as a
             # failure — the coordinator handled it; nothing reaches the
             # metrics layer.

@@ -15,7 +15,7 @@ the effect that makes MQ-DL/BFQ "require a full core per batch app"
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import QueuedServer
@@ -32,12 +32,15 @@ class CoreSet:
         self.server = QueuedServer(sim, cores, name=name)
         self._spin_integral = 0.0
 
-    def charge(self, cost_us: float, done: Callable[[], None]) -> None:
-        """Run ``cost_us`` of work on some core, then call ``done``."""
+    def charge(self, cost_us: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``cost_us`` of work on some core, then call ``fn(arg)``.
+
+        Free work (``cost_us <= 0``) calls ``fn(arg)`` before returning.
+        """
         if cost_us <= 0:
-            done()
+            fn(arg)
             return
-        self.server.submit(cost_us, done)
+        self.server.submit(cost_us, fn, arg)
 
     def account_spin(self, spin_us: float) -> None:
         """Record lock busy-wait time (affects utilization, not the queue)."""
@@ -51,7 +54,9 @@ class CoreSet:
         applies (paper O1: io.cost's latency overhead appears only past
         the CPU saturation point).
         """
-        return self.server.queue_depth >= backlog_threshold
+        # The server's queue length, read without its property: io.cost
+        # hosts ask once per submission.
+        return len(self.server._queue) >= backlog_threshold
 
     # -- measurement window support ------------------------------------
     def snapshot(self) -> tuple[float, float, float]:

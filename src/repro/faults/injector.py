@@ -27,7 +27,7 @@ import random
 from repro.faults.plan import FaultPlan, GcStorm, LatencySpike
 
 
-def _noop() -> None:
+def _noop(_arg: None) -> None:
     """Completion callback for fault occupancy (nothing to deliver)."""
     return None
 
@@ -73,7 +73,7 @@ class FaultInjector:
         """Fire one latency spike, then self-schedule the next (jittered)."""
         self.spikes_injected += 1
         for _ in range(self._units(spike.unit_fraction)):
-            self.device.flash.submit(spike.stall_us, _noop)
+            self.device.flash.submit(spike.stall_us, _noop, None)
         gap = spike.period_us
         if spike.jitter:
             gap *= 1.0 + spike.jitter * (2.0 * self.rng.random() - 1.0)
@@ -98,7 +98,7 @@ class FaultInjector:
             return
         busy_us = storm.duty * storm.chunk_period_us
         for _ in range(self._units(storm.unit_fraction)):
-            self.device.flash.submit(busy_us, _noop)
+            self.device.flash.submit(busy_us, _noop, None)
         self.sim.schedule(
             storm.chunk_period_us, lambda: self._storm_chunk(storm, end_at)
         )

@@ -93,7 +93,9 @@ class RetryCoordinator:
     stale completions, scheduling backoff resubmissions via
     ``resubmit``, delivering exhausted requests via ``deliver_failure``,
     and notifying the throttle layer's degraded-mode counter via
-    ``on_fault`` — happens inside the coordinator.
+    ``on_fault`` — happens inside the coordinator. Without error windows
+    in its plan and without a watchdog the coordinator can never act,
+    and the host calls neither method: it only reports the counters.
     """
 
     def __init__(

@@ -36,7 +36,7 @@ from repro.cgroups.hierarchy import Cgroup, CgroupHierarchy
 from repro.cgroups.knobs import IoCostModelParams, IoCostQosParams
 from repro.iocontrol.base import ForwardFn, ThrottleLayer
 from repro.iocontrol.weights import hierarchical_shares
-from repro.iorequest import IoRequest, OpType, Pattern
+from repro.iorequest import READ, IoRequest, OpType, Pattern
 from repro.metrics.latency import percentile
 from repro.sim.engine import Simulator
 
@@ -309,7 +309,7 @@ class IoCostController(ThrottleLayer):
             state.in_flight -= 1
         # Block-layer completion latency, measured at device completion.
         latency = self.sim.now - req.queued_time
-        if req.op == OpType.READ:
+        if req.op == READ:
             self._window_read_lat.append(latency)
         else:
             self._window_write_lat.append(latency)

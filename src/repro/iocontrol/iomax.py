@@ -19,7 +19,7 @@ import math
 from repro.cgroups.hierarchy import Cgroup, CgroupHierarchy
 from repro.cgroups.knobs import IoMaxLimits
 from repro.iocontrol.base import ForwardFn, ThrottleLayer
-from repro.iorequest import IoRequest, OpType
+from repro.iorequest import READ, IoRequest
 from repro.sim.engine import Simulator
 from repro.sim.resources import TokenBucket
 
@@ -46,7 +46,7 @@ class _GroupBuckets:
         return TokenBucket(rate_per_us, burst=rate_per_us * _BURST_WINDOW_US, start_time=now)
 
     def wait_us(self, req: IoRequest, now: float) -> float:
-        if req.op == OpType.READ:
+        if req.op == READ:
             bps, iops = self.rbps, self.riops
         else:
             bps, iops = self.wbps, self.wiops

@@ -18,6 +18,13 @@ class OpType(enum.IntEnum):
     WRITE = 1
 
 
+#: The members as module constants for the per-request paths: on
+#: CPython 3.11 ``OpType.WRITE`` costs an enum-class attribute lookup of
+#: about 150 ns, a module global about 25 ns.
+READ = OpType.READ
+WRITE = OpType.WRITE
+
+
 class Pattern(enum.IntEnum):
     """Access pattern of the issuing job (per-job, like fio's readwrite=)."""
 

@@ -11,10 +11,9 @@ of :mod:`repro.prof.phases`:
   calls into another layer pays only for its own frames, the way
   ``perf`` charges each cycle to the function running it.
 * **Events.** The Python functions the engine's ``_run_core`` calls are
-  the fired callbacks (the engine's own helpers aside), so per-phase
-  event counts come from cProfile's caller data. A
-  ``functools.partial`` or a bound method counts as the function it
-  calls.
+  the fired callbacks, so per-phase event counts come from cProfile's
+  caller data. A ``functools.partial`` or a bound method counts as the
+  function it calls.
 
 A profiled run costs about 3-4x an unprofiled one. ``cProfile`` is
 imported lazily, so unprofiled runs never load it.
@@ -99,8 +98,6 @@ def profile_run(sim, end_time_us: float) -> SimProfile:
         if entry.code is not loop:
             continue
         for call in entry.calls or ():
-            if call.code.co_filename == loop.co_filename:
-                continue  # the engine's own helper (_advance), not an event
             callee = phase_of_code(call.code)
             phase_events[callee] = phase_events.get(callee, 0) + call.callcount
     return SimProfile(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable
+from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 
@@ -23,9 +23,12 @@ from repro.sim.engine import Simulator
 class QueuedServer:
     """``capacity`` servers sharing a single FIFO queue.
 
-    Work is submitted as a service demand in microseconds together with a
-    completion callback. Busy time is integrated so callers can compute
-    utilization over arbitrary measurement windows.
+    A job is a service demand in microseconds plus a completion callback
+    and its one argument: ``fn(arg)`` runs when the job's service ends.
+    Carrying the argument beside the callback keeps a job to one
+    ``functools.partial`` per start, the one the engine fires. Busy time
+    is integrated so callers can compute utilization over arbitrary
+    measurement windows.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
@@ -35,7 +38,7 @@ class QueuedServer:
         self.capacity = capacity
         self.name = name
         self._busy = 0
-        self._queue: deque[tuple[float, Callable[[], None]]] = deque()
+        self._queue: deque[tuple[float, Callable[[Any], None], Any]] = deque()
         self._busy_integral = 0.0
         self._last_change = 0.0
 
@@ -44,8 +47,8 @@ class QueuedServer:
         self._busy_integral += self._busy * (now - self._last_change)
         self._last_change = now
 
-    def submit(self, demand_us: float, done: Callable[[], None]) -> None:
-        """Enqueue ``demand_us`` of work; ``done`` fires on completion."""
+    def submit(self, demand_us: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Enqueue ``demand_us`` of work; ``fn(arg)`` runs on completion."""
         if self._busy < self.capacity:
             # A free server starts at once. The start/finish pair runs
             # once per simulated event, so the busy integral is kept
@@ -56,9 +59,9 @@ class QueuedServer:
             self._busy_integral += self._busy * (now - self._last_change)
             self._last_change = now
             self._busy += 1
-            sim.schedule(demand_us, partial(_fire, self, done))
+            sim.schedule(demand_us, partial(_fire, self, fn, arg))
         else:
-            self._queue.append((demand_us, done))
+            self._queue.append((demand_us, fn, arg))
 
     def release(self) -> None:
         """Drop a finished run's waiting work (callbacks into the owner)."""
@@ -91,8 +94,8 @@ class QueuedServer:
         return (self.busy_integral() - integral_start) / span
 
 
-def _fire(server: QueuedServer, done: Callable[[], None]) -> None:
-    """One service ends: start the next waiter on the freed server, then ``done``.
+def _fire(server: QueuedServer, fn: Callable[[Any], None], arg: Any) -> None:
+    """One service ends: start the next waiter on the freed server, then ``fn(arg)``.
 
     A plain function under a per-start ``partial``: nothing on the
     server refers back to it, so a server holds no reference cycle.
@@ -103,11 +106,11 @@ def _fire(server: QueuedServer, done: Callable[[], None]) -> None:
     queue = server._queue
     if queue:
         # The freed server takes the next waiter: the busy count stays.
-        demand_us, next_done = queue.popleft()
-        server.sim.schedule(demand_us, partial(_fire, server, next_done))
+        demand_us, next_fn, next_arg = queue.popleft()
+        server.sim.schedule(demand_us, partial(_fire, server, next_fn, next_arg))
     else:
         server._busy -= 1
-    done()
+    fn(arg)
 
 
 class TokenBucket:

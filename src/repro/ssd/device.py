@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from functools import partial
 from typing import Callable
 
-from repro.iorequest import IoRequest, OpType
+from repro.iorequest import WRITE, IoRequest, OpType
 from repro.sim.engine import Simulator
 from repro.sim.resources import QueuedServer
 from repro.ssd.gc import GcState
 from repro.ssd.model import SsdModel
 
 CompletionFn = Callable[[IoRequest], None]
+Job = tuple[IoRequest, CompletionFn]
 
 
 class SimulatedNvmeDevice:
@@ -48,7 +48,7 @@ class SimulatedNvmeDevice:
         self.bus = QueuedServer(sim, 1, name=f"ssd{index}.bus")
         self.gc = GcState(model, preconditioned=preconditioned)
         self._in_flight = 0
-        self._boundary_queue: deque[tuple[IoRequest, CompletionFn]] = deque()
+        self._boundary_queue: deque[Job] = deque()
         # Lifetime counters (bytes moved, requests completed) per op.
         self.bytes_completed = {OpType.READ: 0, OpType.WRITE: 0}
         self.requests_completed = {OpType.READ: 0, OpType.WRITE: 0}
@@ -65,14 +65,17 @@ class SimulatedNvmeDevice:
     # ------------------------------------------------------------------
     # Submission path
     # ------------------------------------------------------------------
+    # A request travels as one (req, done) job tuple, the argument each
+    # flash and bus phase hands to the next bound method.
     def submit(self, req: IoRequest, done: CompletionFn) -> None:
         """Accept a request; ``done(req)`` fires at device completion."""
         if self._in_flight >= self.model.nvme_max_qd:
             self._boundary_queue.append((req, done))
         else:
-            self._start(req, done)
+            self._start((req, done))
 
-    def _start(self, req: IoRequest, done: CompletionFn) -> None:
+    def _start(self, job: Job) -> None:
+        req = job[0]
         req.device_start_time = self.sim.now
         self._in_flight += 1
         key = (req.op, req.pattern)
@@ -88,7 +91,7 @@ class SimulatedNvmeDevice:
             flash_cost = fixed * (
                 model.noise_base + self.rng.expovariate(1.0 / tail_mean)
             )
-        if req.op == OpType.WRITE:
+        if req.op == WRITE:
             flash_cost = self.gc.amplify(flash_cost)
         injector = self.injector
         if injector is not None:
@@ -97,14 +100,15 @@ class SimulatedNvmeDevice:
                 # The failing attempt still occupies a flash unit for its
                 # abort/ECC-retry cost, then completes with the error flag
                 # set — the host's RetryCoordinator takes it from there.
-                self.flash.submit(error_cost, partial(self._finish_failed, req, done))
+                self.flash.submit(error_cost, self._finish_failed, job)
                 return
             flash_cost *= injector.service_multiplier(req.op, self.sim.now)
-        self.flash.submit(flash_cost, partial(self._bus_phase, req, done))
+        self.flash.submit(flash_cost, self._bus_phase, job)
 
-    def _bus_phase(self, req: IoRequest, done: CompletionFn) -> None:
+    def _bus_phase(self, job: Job) -> None:
         # Large transfers occupy the bus one segment at a time so small
         # requests can interleave (see SsdModel.bus_segment_bytes).
+        req = job[0]
         key = (req.op, req.size)
         plan = self._bus_plan_cache.get(key)
         if plan is None:
@@ -114,7 +118,7 @@ class SimulatedNvmeDevice:
                 self.model.bus_cost_us(req.op, req.size) / segments,
             )
         segments, per_segment_cost = plan
-        if req.op == OpType.WRITE:
+        if req.op == WRITE:
             per_segment_cost = self.gc.amplify(per_segment_cost)
         if self.injector is not None:
             # Slowdown windows are re-evaluated per phase: a window that
@@ -123,40 +127,39 @@ class SimulatedNvmeDevice:
             per_segment_cost *= self.injector.service_multiplier(req.op, self.sim.now)
         # The last segment completes straight into _finish.
         if segments > 1:
-            then = partial(self._bus_segment, req, done, per_segment_cost, segments - 1)
+            self.bus.submit(
+                per_segment_cost, self._bus_segment, (job, per_segment_cost, segments - 1)
+            )
         else:
-            then = partial(self._finish, req, done)
-        self.bus.submit(per_segment_cost, then)
+            self.bus.submit(per_segment_cost, self._finish, job)
 
-    def _bus_segment(
-        self, req: IoRequest, done: CompletionFn, cost: float, remaining: int
-    ) -> None:
+    def _bus_segment(self, segment: tuple[Job, float, int]) -> None:
         """A segment ended: occupy the bus for the next of ``remaining``."""
+        job, cost, remaining = segment
         if remaining > 1:
-            then = partial(self._bus_segment, req, done, cost, remaining - 1)
+            self.bus.submit(cost, self._bus_segment, (job, cost, remaining - 1))
         else:
-            then = partial(self._finish, req, done)
-        self.bus.submit(cost, then)
+            self.bus.submit(cost, self._finish, job)
 
-    def _finish(self, req: IoRequest, done: CompletionFn) -> None:
+    def _finish(self, job: Job) -> None:
+        req, done = job
         self._in_flight -= 1
         self.bytes_completed[req.op] += req.size
         self.requests_completed[req.op] += 1
-        if req.op == OpType.WRITE:
+        if req.op == WRITE:
             self.gc.on_write(req.size)
         if self._boundary_queue:
-            next_req, next_done = self._boundary_queue.popleft()
-            self._start(next_req, next_done)
+            self._start(self._boundary_queue.popleft())
         done(req)
 
-    def _finish_failed(self, req: IoRequest, done: CompletionFn) -> None:
+    def _finish_failed(self, job: Job) -> None:
         """Complete an errored attempt: no data moved, no GC accounting."""
+        req, done = job
         self._in_flight -= 1
         self.requests_failed[req.op] += 1
         req.failed = True
         if self._boundary_queue:
-            next_req, next_done = self._boundary_queue.popleft()
-            self._start(next_req, next_done)
+            self._start(self._boundary_queue.popleft())
         done(req)
 
     def release(self) -> None:

@@ -15,7 +15,7 @@ import math
 import random
 from typing import Callable
 
-from repro.iorequest import IoRequest, OpType
+from repro.iorequest import READ, WRITE, IoRequest
 from repro.sim.engine import Simulator
 from repro.sim.resources import TokenBucket
 from repro.workloads.spec import ArrivalPhase, JobSpec
@@ -120,11 +120,7 @@ class App:
             # The window closed while this submission was rate-delayed.
             self.outstanding -= 1
             return
-        op = (
-            OpType.READ
-            if self.rng.random() < spec.read_fraction
-            else OpType.WRITE
-        )
+        op = READ if self.rng.random() < spec.read_fraction else WRITE
         req = IoRequest(
             app_name=spec.name,
             cgroup_path=spec.cgroup_path,

@@ -1,14 +1,15 @@
-"""Reference event loop the slot-wheel engine is checked against.
+"""Reference event loop the engine core is checked against.
 
 :class:`HeapSimulator` is the seed engine's single-pop loop: one binary
-heap of ``[time, seq, fn, consumed]`` entries, popped one at a time, with
-the same cancellation and ``pending_events()`` accounting as
-:class:`repro.sim.engine.Simulator`. It exists only for tests. The
-differential suite substitutes it for the wheel at the ``Host`` seam and
-asserts byte-identical scenario summaries; the engine unit and property
-suites hold it to the same contract they check the wheel against. Its
-loop is named ``_run_core`` like the wheel's, so ``repro.prof`` counts
-a profiled run's fired events on either core the same way.
+heap of ``[time, seq, fn, consumed]`` entries, popped one at a time
+behind a peek at the end time, with the same cancellation and
+``pending_events()`` accounting as :class:`repro.sim.engine.Simulator`.
+It exists only for tests. The differential suite substitutes it for the
+engine at the ``Host`` seam and asserts byte-identical scenario
+summaries; the engine unit and property suites hold it to the same
+contract they check the engine against. Its loop is named ``_run_core``
+like the engine's, so ``repro.prof`` counts a profiled run's fired
+events on either core the same way.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from repro.sim.engine import SimulationError
 class HeapSimulator:
     """Single-pop binary-heap core with the :class:`Simulator` interface."""
 
-    def __init__(self, slot_width_us: float = 4.0) -> None:
-        # The wheel's constructor, so the Host seam substitutes; a heap
-        # has no slots, and the width changes nothing here.
+    def __init__(self) -> None:
         self.now = 0.0
         self._seq = 0
         self._heap: list[list] = []

@@ -1,8 +1,8 @@
 """Mini D1-D6 scenarios for the engine differential suite.
 
 One representative scenario per desideratum, each cheap enough that the
-whole suite runs every mini on the slot wheel and on the test-local heap
-oracle (``tests/differential/oracle.py``) in seconds. The shapes
+whole suite runs every mini on the engine core and on the test-local
+heap oracle (``tests/differential/oracle.py``) in seconds. The shapes
 deliberately cover every scheduler/throttle path (io.cost, BFQ,
 io.latency, io.max, MQ-DL + faults, tuned-QoS io.cost), both workload
 drive modes (closed-loop refill and open-loop Poisson arrivals), and
@@ -12,6 +12,8 @@ Module-level so the 2-worker spawn test can pickle builder references.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from repro.core.config import (
     IoCostKnob,
@@ -32,7 +34,6 @@ from repro.core.scenarios import (
     batch_scaling_specs,
     burst_specs,
     fairness_specs,
-    robustness_specs,
     tradeoff_specs,
     uniform_fairness_groups,
 )
@@ -135,19 +136,30 @@ def d4_mini() -> Scenario:
 
 
 def d5_mini() -> Scenario:
-    """D5 robustness shape: LC vs BE under a GC storm, MQ-DL classes."""
+    """D5 robustness shape: LC vs BE under a GC storm, MQ-DL classes.
+
+    The preset's first storm opens after this short run ends, so the
+    mini opens its own at 2 ms (32 ms scaled) and closes it 5 ms (80 ms
+    scaled) later: storm begin, relocation chunks and storm end all
+    fire inside the run. Its BE apps write, so the storm's extra write
+    amplification reaches the device's service costs.
+    """
+    plan = gc_storm_plan()
+    storm = dataclasses.replace(plan.storms[0], first_at_us=2_000.0, storm_us=5_000.0)
     return Scenario(
         name="diff-d5-faulted",
         knob=MqDeadlineKnob(
             classes={PRIORITY_GROUP: "realtime", BE_GROUP: "idle"}
         ),
-        apps=robustness_specs(be_queue_depth=16, n_be_apps=2),
+        apps=tradeoff_specs(
+            "lc", be_variant="rand-4k-write", n_be_apps=2, be_queue_depth=16
+        ),
         ssd_model=samsung_980pro_like(),
         duration_s=0.15,
         warmup_s=0.05,
         seed=_SEED,
         device_scale=SCALE,
-        faults=gc_storm_plan(),
+        faults=dataclasses.replace(plan, storms=(storm,)),
     )
 
 

@@ -1,7 +1,7 @@
-"""Engine differential suite: slot wheel vs the test-local heap oracle.
+"""Engine differential suite: engine core vs the test-local heap oracle.
 
 Every D1-D6 mini scenario runs twice: once on the engine as shipped
-(the slot wheel) and once with :class:`~tests.differential.oracle.HeapSimulator`
+and once with :class:`~tests.differential.oracle.HeapSimulator`
 substituted at the ``Host`` seam (``repro.core.host.Simulator``). The
 resulting :class:`~repro.exec.summary.ScenarioSummary` documents must be
 **bit-identical** — same JSON text, not approximately equal. The same
@@ -36,12 +36,12 @@ def _summary_json(scenario) -> str:
 
 
 class TestSerialDifferential:
-    """Each mini, wheel and oracle, one process: identical summary JSON."""
+    """Each mini, engine and oracle, one process: identical summary JSON."""
 
     @pytest.mark.parametrize("case", CASES)
     def test_bit_identical(self, case, monkeypatch):
         build = MINI_BUILDERS[case]
-        wheel = _summary_json(build())
+        engine = _summary_json(build())
 
         built: list[HeapSimulator] = []
 
@@ -55,7 +55,13 @@ class TestSerialDifferential:
         # The comparison only means something if the seam substituted.
         assert built, f"{case}: the oracle never built a host"
         assert sum(sim.events_processed for sim in built) > 0
-        assert wheel == oracle, f"{case}: wheel and heap oracle diverge"
+        assert engine == oracle, f"{case}: engine and heap oracle diverge"
+
+    def test_faulted_mini_opens_a_gc_storm(self):
+        # Otherwise neither core runs a storm's events or its extra
+        # write amplification, and d5 compares nothing of them.
+        counters = run_scenario_summary(MINI_BUILDERS["d5"]()).fault_counters
+        assert counters["dev0.storm_windows"] >= 1
 
 
 class TestSpawnDifferential:

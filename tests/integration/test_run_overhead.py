@@ -5,7 +5,9 @@ D1), and in this reproduction that path is the simulator's Python. Three
 properties of a run are pinned here:
 
 * the ``repro`` Python frames per completed I/O (cProfile, builtins
-  excluded) stay within a budget;
+  excluded) stay within a budget, and the host's per-scenario handlers
+  skip what can never act (the retry coordinator without error windows
+  or a watchdog, the general submit handler under io.cost alone);
 * a finished :func:`~repro.exec.summary.run_scenario_summary` run leaves
   no cyclic garbage at all: its requests, host, simulator and cgroup
   tree are freed by reference counting, not by the cyclic garbage
@@ -28,10 +30,11 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.cpu.cores import CoreSet
 from repro.exec.summary import run_scenario_summary
 from repro.sim.engine import Simulator
 
-from tests.differential.scenarios import d1_mini, d3_mini, d_none_mini
+from tests.differential.scenarios import d1_mini, d3_mini, d5_mini, d_none_mini
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -45,8 +48,13 @@ FRAMES_PER_IO_BUDGET = 50.3
 _COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 
 
-def repro_frames_per_io(scenario) -> float:
-    """Python frames in ``src/repro`` per completed I/O of one run."""
+def repro_call_counts(scenario):
+    """One run under cProfile: ``src/repro`` calls by ``<module>.<function>``.
+
+    Returns the counts and the run's summary. Keys use the module file's
+    stem (``host._finish``), so they read the same on every supported
+    Python; comprehensions are left out.
+    """
     package = os.path.dirname(repro.__file__) + os.sep
     profiler = cProfile.Profile(builtins=False)
     profiler.enable()
@@ -54,7 +62,7 @@ def repro_frames_per_io(scenario) -> float:
         summary = run_scenario_summary(scenario)
     finally:
         profiler.disable()
-    frames = 0
+    calls: dict[str, int] = {}
     for entry in profiler.getstats():
         code = entry.code
         if (
@@ -62,10 +70,17 @@ def repro_frames_per_io(scenario) -> float:
             and code.co_filename.startswith(package)
             and code.co_name not in _COMPREHENSIONS
         ):
-            frames += entry.callcount
+            key = f"{Path(code.co_filename).stem}.{code.co_name}"
+            calls[key] = calls.get(key, 0) + entry.callcount
+    return calls, summary
+
+
+def repro_frames_per_io(scenario) -> float:
+    """Python frames in ``src/repro`` per completed I/O of one run."""
+    calls, summary = repro_call_counts(scenario)
     ios = sum(len(log.times) for log in summary.apps.values())
     assert ios > 0
-    return frames / ios
+    return sum(calls.values()) / ios
 
 
 class TestFrameBudget:
@@ -76,6 +91,29 @@ class TestFrameBudget:
             f"{per_io:.2f} repro frames per completed I/O, budget "
             f"{FRAMES_PER_IO_BUDGET}"
         )
+
+
+class TestSubmitHandlers:
+    def test_a_gc_storm_never_calls_the_retry_coordinator(self):
+        # No error windows and no watchdog: the coordinator cannot act,
+        # and only keeps its (zero) counters for the summary.
+        calls, summary = repro_call_counts(d5_mini())
+        assert calls.get("retry.watch", 0) == 0
+        assert calls.get("retry.resolve", 0) == 0
+        assert calls.get("host._after_submit_cpu", 0) == 0
+        assert calls["host._after_submit_cpu_direct"] > 0
+        counters = summary.fault_counters
+        assert counters["dev0.storm_windows"] >= 1
+        assert counters["retries"] == counters["device_errors"] == 0.0
+
+    def test_iocost_submissions_check_saturation_only(self):
+        scenario = dataclasses.replace(d1_mini(), prof=None)
+        calls, _ = repro_call_counts(scenario)
+        assert calls.get("host._after_submit_cpu", 0) == 0
+        assert calls.get("resources.queue_depth", 0) == 0
+        checked = calls["host._after_submit_cpu_iocost"]
+        assert 0 < checked <= calls["host._submit"]
+        assert calls["cores.is_saturated"] == checked
 
 
 class TestReleasedRun:
@@ -127,6 +165,15 @@ class TestTracerCompatibility:
             "self",
             "delay_us",
             "fn",
+        ]
+
+    def test_charge_keeps_its_callback_at_index_two(self):
+        # The tracer wraps positional argument 2 of CoreSet.charge.
+        assert list(inspect.signature(CoreSet.charge).parameters) == [
+            "self",
+            "cost_us",
+            "fn",
+            "arg",
         ]
 
     def test_traced_run_matches_untraced_and_sees_every_layer(self):

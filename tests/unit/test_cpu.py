@@ -64,7 +64,7 @@ class TestCoreSet:
         sim = Simulator()
         cores = CoreSet(sim, 1)
         done = []
-        cores.charge(10.0, lambda: done.append(sim.now))
+        cores.charge(10.0, lambda _: done.append(sim.now), None)
         sim.run()
         assert done == [10.0]
 
@@ -72,15 +72,15 @@ class TestCoreSet:
         sim = Simulator()
         cores = CoreSet(sim, 1)
         done = []
-        cores.charge(0.0, lambda: done.append(True))
+        cores.charge(0.0, lambda _: done.append(True), None)
         assert done == [True]
 
     def test_work_queues_on_busy_core(self):
         sim = Simulator()
         cores = CoreSet(sim, 1)
         done = []
-        cores.charge(10.0, lambda: done.append(sim.now))
-        cores.charge(10.0, lambda: done.append(sim.now))
+        cores.charge(10.0, lambda _: done.append(sim.now), None)
+        cores.charge(10.0, lambda _: done.append(sim.now), None)
         sim.run()
         assert done == [10.0, 20.0]
 
@@ -89,7 +89,7 @@ class TestCoreSet:
         cores = CoreSet(sim, 4)
         done = []
         for _ in range(4):
-            cores.charge(10.0, lambda: done.append(sim.now))
+            cores.charge(10.0, lambda _: done.append(sim.now), None)
         sim.run()
         assert done == [10.0] * 4
 
@@ -97,7 +97,7 @@ class TestCoreSet:
         sim = Simulator()
         cores = CoreSet(sim, 2)
         snap = cores.snapshot()
-        cores.charge(50.0, lambda: None)
+        cores.charge(50.0, lambda _: None, None)
         sim.run_until(100.0)
         assert cores.utilization(snap) == pytest.approx(0.25)
 
@@ -122,10 +122,54 @@ class TestCoreSet:
         cores = CoreSet(sim, 1)
         assert not cores.is_saturated()
         for _ in range(6):
-            cores.charge(10.0, lambda: None)
+            cores.charge(10.0, lambda _: None, None)
         assert cores.is_saturated()
         sim.run()
         assert not cores.is_saturated()
+
+
+class TestChargeContract:
+    """``charge(cost_us, fn, arg)``: ``fn(arg)`` once the work is done."""
+
+    @pytest.mark.parametrize("cost_us", [0.0, -1.0])
+    def test_free_work_runs_fn_synchronously(self, cost_us):
+        sim = Simulator()
+        cores = CoreSet(sim, 1)
+        seen = []
+        cores.charge(cost_us, seen.append, "req")
+        assert seen == ["req"]
+        assert sim.pending_events() == 0
+
+    def test_each_core_set_serves_fifo(self):
+        sim = Simulator()
+        cores = CoreSet(sim, 1)
+        seen = []
+        for arg, cost in enumerate((4.0, 1.0, 2.0)):
+            cores.charge(cost, lambda arg: seen.append((arg, sim.now)), arg)
+        sim.run()
+        assert seen == [(0, 4.0), (1, 5.0), (2, 7.0)]
+
+    def test_core_count_is_respected(self):
+        sim = Simulator()
+        cores = CoreSet(sim, 3)
+        seen = []
+        for arg in range(7):
+            cores.charge(10.0, lambda arg: seen.append((arg, sim.now)), arg)
+        assert cores.server.busy == 3
+        assert cores.server.queue_depth == 4
+        sim.run()
+        assert [t for _, t in seen] == [10.0] * 3 + [20.0] * 3 + [30.0]
+        assert [arg for arg, _ in seen] == list(range(7))
+
+    def test_release_drops_the_queued_work(self):
+        sim = Simulator()
+        cores = CoreSet(sim, 1)
+        seen = []
+        for arg in range(4):
+            cores.charge(5.0, seen.append, arg)
+        cores.server.release()
+        sim.run()
+        assert seen == [0]
 
 
 class TestAccounting:
@@ -134,7 +178,7 @@ class TestAccounting:
         cores = CoreSet(sim, 1)
         acct = CpuAccounting(cores, profile_for_knob("none"))
         for _ in range(3):
-            cores.charge(10.0, acct.on_io_complete)
+            cores.charge(10.0, lambda _: acct.on_io_complete(), None)
         sim.run_until(100.0)
         report = acct.report()
         assert report.ios == 3
@@ -145,7 +189,7 @@ class TestAccounting:
         sim = Simulator()
         cores = CoreSet(sim, 1)
         acct = CpuAccounting(cores, profile_for_knob("none"))
-        cores.charge(10.0, acct.on_io_complete)
+        cores.charge(10.0, lambda _: acct.on_io_complete(), None)
         sim.run_until(50.0)
         acct.begin_window()
         report = acct.report()

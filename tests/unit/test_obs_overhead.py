@@ -82,7 +82,7 @@ def _drive(sim):
     of events pending at once (every actual scenario holds hundreds), the
     same drive the bench suite's calibration uses. A single chain would
     instead time the engine's degenerate one-pending-event case, which
-    the slot-wheel core deliberately does not optimize for.
+    the engine core deliberately does not optimize for.
     """
     state = {"remaining": N_EVENTS}
 

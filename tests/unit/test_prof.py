@@ -6,7 +6,7 @@ The contract under test:
   of the module that owns its code, and the breakdown covers (>= 90%
   of) the loop wall-clock;
 * the fired events are counted per phase, one per event the engine
-  fired, on the wheel and on the heap oracle alike;
+  fired, on the engine core and on the heap oracle alike;
 * a callback that raises leaves no profiler enabled;
 * profiling NEVER changes simulation results (bit-identical summary
   vs an unprofiled run);
@@ -165,8 +165,7 @@ class TestExclusiveAttribution:
         sim.schedule(2.0, recorder.tick)
         sim.schedule(2.0, partial(recorder.tick, 2))
         sim.cancel(sim.schedule(4.0, recorder.tick))
-        # Far past the wheel's horizon: the engine's own _advance helper
-        # runs, and must not count as an event.
+        # Far in the future, after the cancelled entry is popped.
         sim.schedule(50_000.0, recorder.tick)
         profile = profile_run(sim, 100_000.0)
         assert recorder.fired == 4

@@ -15,8 +15,8 @@ class TestQueuedServer:
         sim = Simulator()
         server = QueuedServer(sim, 1)
         done = []
-        server.submit(10.0, lambda: done.append(sim.now))
-        server.submit(10.0, lambda: done.append(sim.now))
+        server.submit(10.0, lambda _: done.append(sim.now), None)
+        server.submit(10.0, lambda _: done.append(sim.now), None)
         sim.run()
         assert done == [10.0, 20.0]
 
@@ -24,8 +24,8 @@ class TestQueuedServer:
         sim = Simulator()
         server = QueuedServer(sim, 2)
         done = []
-        server.submit(10.0, lambda: done.append(sim.now))
-        server.submit(10.0, lambda: done.append(sim.now))
+        server.submit(10.0, lambda _: done.append(sim.now), None)
+        server.submit(10.0, lambda _: done.append(sim.now), None)
         sim.run()
         assert done == [10.0, 10.0]
 
@@ -34,15 +34,15 @@ class TestQueuedServer:
         server = QueuedServer(sim, 1)
         done = []
         for tag in ("a", "b", "c"):
-            server.submit(5.0, lambda t=tag: done.append(t))
+            server.submit(5.0, lambda _, t=tag: done.append(t), None)
         sim.run()
         assert done == ["a", "b", "c"]
 
     def test_busy_and_queue_depth(self):
         sim = Simulator()
         server = QueuedServer(sim, 1)
-        server.submit(10.0, lambda: None)
-        server.submit(10.0, lambda: None)
+        server.submit(10.0, lambda _: None, None)
+        server.submit(10.0, lambda _: None, None)
         assert server.busy == 1
         assert server.queue_depth == 1
         sim.run()
@@ -52,8 +52,8 @@ class TestQueuedServer:
     def test_busy_integral_accumulates_service_time(self):
         sim = Simulator()
         server = QueuedServer(sim, 2)
-        server.submit(10.0, lambda: None)
-        server.submit(10.0, lambda: None)
+        server.submit(10.0, lambda _: None, None)
+        server.submit(10.0, lambda _: None, None)
         sim.run()
         assert server.busy_integral() == pytest.approx(20.0)
 
@@ -61,7 +61,7 @@ class TestQueuedServer:
         sim = Simulator()
         server = QueuedServer(sim, 1)
         start_integral = server.busy_integral()
-        server.submit(25.0, lambda: None)
+        server.submit(25.0, lambda _: None, None)
         sim.run_until(100.0)
         util = server.utilization(start_integral, 0.0, 100.0)
         assert util == pytest.approx(0.25)
@@ -75,11 +75,73 @@ class TestQueuedServer:
         sim = Simulator()
         server = QueuedServer(sim, 1)
         done = []
-        server.submit(7.0, lambda: done.append(("first", sim.now)))
+        server.submit(7.0, lambda _: done.append(("first", sim.now)), None)
         sim.run_until(3.0)
-        server.submit(7.0, lambda: done.append(("second", sim.now)))
+        server.submit(7.0, lambda _: done.append(("second", sim.now)), None)
         sim.run()
         assert done == [("first", 7.0), ("second", 14.0)]
+
+
+class TestJobContract:
+    """``submit(demand_us, fn, arg)``: ``fn(arg)`` runs when the job ends."""
+
+    def test_fn_gets_its_arg_at_completion(self):
+        sim = Simulator()
+        server = QueuedServer(sim, 1)
+        seen = []
+        server.submit(4.0, lambda arg: seen.append((arg, sim.now)), "job")
+        assert seen == []
+        sim.run()
+        assert seen == [("job", 4.0)]
+
+    def test_the_engine_fires_the_callers_fn_unwrapped(self):
+        # One partial per start, over the caller's own fn and arg.
+        sim = Simulator()
+        server = QueuedServer(sim, 1)
+        fn = [].append
+        server.submit(4.0, fn, "job")
+        (entry,) = sim._heap
+        assert entry[2].args[1:] == (fn, "job")
+
+    def test_each_server_serves_fifo(self):
+        sim = Simulator()
+        server = QueuedServer(sim, 1)
+        seen = []
+        for arg, demand in enumerate((5.0, 1.0, 3.0, 1.0)):
+            server.submit(demand, lambda arg: seen.append((arg, sim.now)), arg)
+        sim.run()
+        assert seen == [(0, 5.0), (1, 6.0), (2, 9.0), (3, 10.0)]
+
+    def test_capacity_is_respected(self):
+        sim = Simulator()
+        server = QueuedServer(sim, 2)
+        busy = []
+        seen = []
+
+        def done(arg):
+            busy.append(server.busy)
+            seen.append((arg, sim.now))
+
+        for arg in range(5):
+            server.submit(10.0, done, arg)
+        assert (server.busy, server.queue_depth) == (2, 3)
+        sim.run()
+        assert max(busy) <= 2
+        assert seen == [(0, 10.0), (1, 10.0), (2, 20.0), (3, 20.0), (4, 30.0)]
+        assert (server.busy, server.queue_depth) == (0, 0)
+
+    def test_release_drops_the_queued_jobs(self):
+        sim = Simulator()
+        server = QueuedServer(sim, 1)
+        seen = []
+        for arg in range(3):
+            server.submit(10.0, seen.append, arg)
+        server.release()
+        assert server.queue_depth == 0
+        sim.run()
+        # The job in service still ends; the two queued ones are gone.
+        assert seen == [0]
+        assert server.busy == 0
 
 
 class TestTokenBucket:

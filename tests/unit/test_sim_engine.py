@@ -1,16 +1,13 @@
 """Unit tests for the discrete-event engine.
 
-Every test runs via the ``make_sim`` fixture against the slot wheel, a
-tiny wheel whose events constantly cross the horizon, the 256 us-slot
-wheel a ``device_scale`` 64 host builds, and the test-local heap oracle
-(``tests/differential/oracle.py``, the seed's single-pop loop): the
-engine contract is identical by design, the reference is held to the
-same contract it checks, and ``tests/differential/`` extends that claim
-to whole scenarios.
+Every test runs via the ``make_sim`` fixture against the engine core and
+the test-local heap oracle (``tests/differential/oracle.py``, the seed's
+single-pop loop): the engine contract is identical by design, the
+reference is held to the same contract it checks, and
+``tests/differential/`` extends that claim to whole scenarios.
 """
 
 import weakref
-from functools import partial
 
 import pytest
 
@@ -18,18 +15,9 @@ from repro.sim.engine import SimulationError, Simulator
 
 from tests.differential.oracle import HeapSimulator
 
-
-class _FourSlots(Simulator):
-    WHEEL_SLOTS = 4
-
-
+#: Test ids are the historical ones: ``batched`` is the engine core.
 SIMULATORS = {
     "batched": Simulator,
-    # A deliberately tiny wheel: events constantly cross the horizon into
-    # the overflow heap and migrate back, exercising the rotation paths.
-    "batched-tiny-wheel": partial(_FourSlots, slot_width_us=2.5),
-    # The slot width a Host uses at device_scale 64 (4 us x 64).
-    "batched-scaled-wheel": partial(Simulator, slot_width_us=256.0),
     # The seed's heap loop, kept only as the test-local oracle.
     "legacy": HeapSimulator,
 }
@@ -38,21 +26,6 @@ SIMULATORS = {
 @pytest.fixture(params=sorted(SIMULATORS), name="make_sim")
 def _make_sim(request):
     return SIMULATORS[request.param]
-
-
-class TestEngineSelection:
-    """Slot count by subclassing, slot width by argument; a bad one fails fast."""
-
-    def test_bad_wheel_geometry_rejected(self):
-        class SixSlots(Simulator):
-            WHEEL_SLOTS = 6
-
-        with pytest.raises(SimulationError):
-            SixSlots()
-        with pytest.raises(SimulationError):
-            Simulator(slot_width_us=0.0)
-        with pytest.raises(SimulationError):
-            Simulator(slot_width_us=-4.0)
 
 
 class TestScheduling:
@@ -127,8 +100,8 @@ class TestScheduling:
         assert seen == ["a", "b", "c", "d"]
 
     def test_far_future_events_cross_the_wheel_horizon(self, make_sim):
-        # Delays far beyond WHEEL_SLOTS * slot_width_us must still fire
-        # in order (overflow heap + migration on rotation).
+        # Delays six orders of magnitude apart, with a duplicate, fire in
+        # (time, seq) order.
         sim = make_sim()
         seen = []
         for delay in (900000.0, 5.0, 90000.0, 900000.0, 1.0):
@@ -207,8 +180,8 @@ class TestRunUntil:
         assert seen == ["a", "b"]
 
     def test_schedule_after_run_until_lands_in_the_future(self, make_sim):
-        # The wheel head may have rotated past the stop time; a fresh
-        # schedule must still fire at now + delay.
+        # The core pops the first entry past the stop time and puts it
+        # back; a fresh schedule must still fire at now + delay, first.
         sim = make_sim()
         seen = []
         sim.schedule(500.0, lambda: seen.append("far"))
@@ -216,6 +189,19 @@ class TestRunUntil:
         sim.schedule(1.0, lambda: seen.append("near"))
         sim.run()
         assert seen == ["near", "far"]
+
+    def test_stop_before_a_cancelled_entry_keeps_the_counts(self, make_sim):
+        # The first entry past the stop stays stored, cancelled or not:
+        # no count moves until the loop reaches its time.
+        sim = make_sim()
+        sim.cancel(sim.schedule(100.0, lambda: None))
+        live = sim.schedule(200.0, lambda: None)
+        sim.run_until(50.0)
+        assert (sim.pending_events(), sim.events_processed, sim.now) == (1, 0, 50.0)
+        assert len(list(sim.pending_entries())) == 2
+        sim.run()
+        assert (sim.pending_events(), sim.events_processed, sim.now) == (0, 1, 200.0)
+        assert not sim.event_active(live)
 
     def test_events_processed_counter(self, make_sim):
         sim = make_sim()
@@ -331,7 +317,7 @@ class TestRelease:
         fired = []
         sim.schedule(1.0, lambda: fired.append(1.0))
         sim.schedule(5.0, lambda: fired.append(5.0))
-        sim.schedule(9e6, lambda: fired.append(9e6))  # past the horizon
+        sim.schedule(9e6, lambda: fired.append(9e6))
         sim.cancel(sim.schedule(3.0, lambda: fired.append(3.0)))
         sim.run_until(2.0)
         processed = sim.events_processed
