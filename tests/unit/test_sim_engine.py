@@ -1,23 +1,40 @@
 """Unit tests for the discrete-event engine.
 
-Every test runs via the ``make_sim`` fixture against the engine core and
-the test-local heap oracle (``tests/differential/oracle.py``, the seed's
-single-pop loop): the engine contract is identical by design, the
-reference is held to the same contract it checks, and
-``tests/differential/`` extends that claim to whole scenarios.
+Every test runs via the ``make_sim`` fixture against the engine core, the
+engine a ``device_scale`` 64 host builds, and the test-local heap oracle
+(``tests/differential/oracle.py``, the seed's single-pop loop): the
+engine contract is identical by design, the reference is held to the
+same contract it checks, and ``tests/differential/`` extends that claim
+to whole scenarios.
 """
 
 import weakref
 
 import pytest
 
+from repro import NoneKnob, Scenario
+from repro.core.host import Host
 from repro.sim.engine import SimulationError, Simulator
+from repro.workloads.apps import lc_app
 
 from tests.differential.oracle import HeapSimulator
+
+
+def _scaled_host_engine():
+    """The engine a ``device_scale`` 64 host builds, before its run starts."""
+    scenario = Scenario(
+        name="engine-seam", knob=NoneKnob(), apps=[lc_app("lc0", "/t/lc")], device_scale=64.0
+    )
+    return Host(scenario).sim
+
 
 #: Test ids are the historical ones: ``batched`` is the engine core.
 SIMULATORS = {
     "batched": Simulator,
+    # A scaled host once built a 256 us-slot wheel; the core now has no
+    # geometry, and this case holds the host to building a bare, empty
+    # engine at any scale.
+    "batched-scaled-wheel": _scaled_host_engine,
     # The seed's heap loop, kept only as the test-local oracle.
     "legacy": HeapSimulator,
 }
