@@ -22,6 +22,25 @@ The SHA-256 runs over that text plus :data:`SCHEMA_VERSION` (bumped
 whenever the summary layout or simulation semantics change incompatibly)
 and the summary's own schema version, so stale entries are structurally
 unreachable rather than "probably invalidated".
+
+One renderer writes that text. It dispatches on the value's exact type:
+``None``, bool, int, float, str, list, tuple and dict have fixed
+renderers, and each dataclass class gets a plan on first sight -- its
+``D:module.qualname{`` tag and its fields' ``name=`` prefixes, sorted by
+name -- under which scalar field values are written inline. Every other
+type (enum members, subclasses of int, float, str, list, tuple or dict,
+numpy scalars, bytes, sets, plain objects) takes :func:`_fallback`, the
+seed's ``isinstance`` ladder in its order, so a text never moves with
+the dispatch. ``tests/differential/key_oracle.py`` keeps the seed
+renderer and the differential suite holds this one to it byte for byte.
+
+A *memo* maps the ``id()`` of each dataclass, list and tuple already
+rendered to its text, so a batch whose scenarios share app lists, device
+models or control configs renders each of those once.
+:meth:`~repro.exec.executor.SweepExecutor.run` keys its batch through
+one memo and drops it before any lookup: an ``id()`` is only a name
+while its object lives and stays unchanged, which the batch guarantees
+for its key loop and nothing guarantees afterwards.
 """
 
 from __future__ import annotations
@@ -60,83 +79,160 @@ SCHEMA_VERSION = 6
 _SALT = f"isolbench-cache:v{SCHEMA_VERSION}:summary-v{SUMMARY_SCHEMA_VERSION}"
 
 
-def _render(obj, out: list[str]) -> None:
-    """Append the canonical text of ``obj`` to ``out``."""
-    if obj is None:
-        out.append("N")
-    elif obj is True:
-        out.append("T")
-    elif obj is False:
-        out.append("F")
-    elif isinstance(obj, enum.Enum):
-        out.append(f"E:{type(obj).__module__}.{type(obj).__qualname__}.{obj.name}")
-    elif isinstance(obj, int):
-        out.append(f"i:{obj}")
-    elif isinstance(obj, float):
+def _float_text(value: float) -> str:
+    """``f:`` text of a float: ``repr``, with infinities signed."""
+    text = repr(value)
+    return "f:+inf" if text == "inf" else "f:" + text
+
+
+def _text(obj, memo: dict) -> str:
+    """Canonical text of ``obj``; ``memo`` maps sub-object ``id()``s to text."""
+    kind = type(obj)
+    return (_RENDERERS.get(kind) or _compile(kind))(obj, memo)
+
+
+def _compile(cls: type):
+    """The renderer for instances of ``cls``, cached for the next one.
+
+    A dataclass gets a plan unless the ladder takes an earlier branch
+    for it (an enum, or a subclass of int, float, str or bytes) or its
+    instances are classes.
+    """
+    if dataclasses.is_dataclass(cls) and not issubclass(
+        cls, (enum.Enum, int, float, str, bytes, type)
+    ):
+        render = _dataclass_renderer(cls)
+    else:
+        render = _fallback
+    _RENDERERS[cls] = render
+    return render
+
+
+def _dataclass_renderer(cls: type):
+    """Render ``cls``'s instances by a plan: tag, then sorted ``name=`` fields."""
+    tag = f"D:{cls.__module__}.{cls.__qualname__}{{"
+    plan = tuple(
+        (name, f"{name}=") for name in sorted(f.name for f in dataclasses.fields(cls))
+    )
+
+    def render(obj, memo: dict) -> str:
+        text = memo.get(id(obj))
+        if text is not None:
+            return text
+        parts = [tag]
+        for name, prefix in plan:
+            value = getattr(obj, name)
+            kind = type(value)
+            # Scalars inline; anything else through its own renderer.
+            if kind is float:
+                parts.append(f"{prefix}{_float_text(value)};")
+            elif kind is int:
+                parts.append(f"{prefix}i:{value};")
+            elif kind is str:
+                parts.append(f"{prefix}s:{len(value)}:{value};")
+            elif value is None:
+                parts.append(f"{prefix}N;")
+            elif kind is bool:
+                parts.append(f"{prefix}T;" if value else f"{prefix}F;")
+            else:
+                render_value = _RENDERERS.get(kind) or _compile(kind)
+                parts.append(f"{prefix}{render_value(value, memo)};")
+        parts.append("}")
+        text = memo[id(obj)] = "".join(parts)
+        return text
+
+    return render
+
+
+def _sequence(obj, memo: dict) -> str:
+    """``[item,item,]`` for a list or tuple (of any subclass)."""
+    text = memo.get(id(obj))
+    if text is None:
+        items = "".join([_text(item, memo) + "," for item in obj])
+        text = memo[id(obj)] = f"[{items}]"
+    return text
+
+
+def _mapping(obj, memo: dict) -> str:
+    """``M{key:value;}`` with entries sorted by the key's text."""
+    entries = sorted((_text(key, memo), value) for key, value in obj.items())
+    return "M{" + "".join([f"{key}:{_text(value, memo)};" for key, value in entries]) + "}"
+
+
+def _fallback(obj, memo: dict) -> str:
+    """Every type without an exact renderer, in the seed's branch order.
+
+    ``None`` and ``bool`` cannot be subclassed and dataclasses get
+    plans, so the ladder starts at enums: members (``IntEnum`` too),
+    then subclasses of int, float and str (``repr``/``format`` may be
+    overridden), bytes, list and tuple subclasses, sets, dict
+    subclasses and plain configuration objects.
+    """
+    if isinstance(obj, enum.Enum):
+        return f"E:{type(obj).__module__}.{type(obj).__qualname__}.{obj.name}"
+    if isinstance(obj, int):
+        return f"i:{obj}"
+    if isinstance(obj, float):
         if math.isnan(obj):
-            out.append("f:nan")
-        elif math.isinf(obj):
-            out.append("f:+inf" if obj > 0 else "f:-inf")
-        else:
-            out.append(f"f:{obj!r}")
-    elif isinstance(obj, str):
-        out.append(f"s:{len(obj)}:{obj}")
-    elif isinstance(obj, bytes):
-        out.append(f"b:{len(obj)}:{obj.hex()}")
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out.append(f"D:{type(obj).__module__}.{type(obj).__qualname__}{{")
-        for field in sorted(dataclasses.fields(obj), key=lambda f: f.name):
-            out.append(f"{field.name}=")
-            _render(getattr(obj, field.name), out)
-            out.append(";")
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for item in obj:
-            _render(item, out)
-            out.append(",")
-        out.append("]")
-    elif isinstance(obj, (set, frozenset)):
-        rendered = sorted(canonical_text(item) for item in obj)
-        out.append("{" + ",".join(rendered) + "}")
-    elif isinstance(obj, dict):
-        out.append("M{")
-        entries = sorted(
-            (canonical_text(key), value) for key, value in obj.items()
-        )
-        for key_text, value in entries:
-            out.append(key_text)
-            out.append(":")
-            _render(value, out)
-            out.append(";")
-        out.append("}")
-    elif hasattr(obj, "__dict__") and not callable(obj):
+            return "f:nan"
+        if math.isinf(obj):
+            return "f:+inf" if obj > 0 else "f:-inf"
+        return f"f:{obj!r}"
+    if isinstance(obj, str):
+        return f"s:{len(obj)}:{obj}"
+    if isinstance(obj, bytes):
+        return f"b:{len(obj)}:{obj.hex()}"
+    if isinstance(obj, (list, tuple)):
+        return _sequence(obj, memo)
+    if isinstance(obj, (set, frozenset)):
+        return "{" + ",".join(sorted(_text(item, memo) for item in obj)) + "}"
+    if isinstance(obj, dict):
+        return _mapping(obj, memo)
+    if hasattr(obj, "__dict__") and not callable(obj):
         # Plain configuration objects (e.g. a bare KnobConfig subclass
         # that is not a dataclass): class identity + sorted attributes.
-        out.append(f"O:{type(obj).__module__}.{type(obj).__qualname__}{{")
-        for name in sorted(vars(obj)):
-            out.append(f"{name}=")
-            _render(vars(obj)[name], out)
-            out.append(";")
-        out.append("}")
-    else:
-        raise TypeError(
-            f"cannot canonicalize {type(obj).__module__}.{type(obj).__qualname__} "
-            f"for cache keying; add dataclass/enum support or exclude it "
-            f"from the Scenario"
-        )
+        attrs = vars(obj)
+        fields = "".join([f"{name}={_text(attrs[name], memo)};" for name in sorted(attrs)])
+        return f"O:{type(obj).__module__}.{type(obj).__qualname__}{{{fields}}}"
+    raise TypeError(
+        f"cannot canonicalize {type(obj).__module__}.{type(obj).__qualname__} "
+        f"for cache keying; add dataclass/enum support or exclude it "
+        f"from the Scenario"
+    )
 
 
-def canonical_text(obj) -> str:
-    """Deterministic, content-complete text rendering of ``obj``."""
-    out: list[str] = []
-    _render(obj, out)
-    return "".join(out)
+#: Exact type -> renderer ``(obj, memo) -> text``. Built-in scalars and
+#: containers are listed here; :func:`_compile` adds every other class on
+#: first sight (a plan for a dataclass, else :func:`_fallback`).
+_RENDERERS = {
+    type(None): lambda obj, memo: "N",
+    bool: lambda obj, memo: "T" if obj else "F",
+    int: lambda obj, memo: f"i:{obj}",
+    float: lambda obj, memo: _float_text(obj),
+    str: lambda obj, memo: f"s:{len(obj)}:{obj}",
+    list: _sequence,
+    tuple: _sequence,
+    dict: _mapping,
+}
 
 
-def scenario_key(scenario) -> str:
-    """SHA-256 content address of a scenario (hex, 64 chars)."""
-    text = _SALT + "|" + canonical_text(scenario)
+def canonical_text(obj, memo: dict | None = None) -> str:
+    """Deterministic, content-complete text rendering of ``obj``.
+
+    ``memo`` (default: a fresh one) holds the texts of sub-objects
+    already rendered; pass one dict only across values that stay alive
+    and unchanged while it is in use.
+    """
+    return _text(obj, {} if memo is None else memo)
+
+
+def scenario_key(scenario, memo: dict | None = None) -> str:
+    """SHA-256 content address of a scenario (hex, 64 chars).
+
+    ``memo`` (see :func:`canonical_text`) lets a batch render the
+    sub-objects its scenarios share once.
+    """
+    text = _SALT + "|" + canonical_text(scenario, memo)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -292,21 +292,32 @@ class SweepExecutor:
                     )
                 )
 
-        # Phase 1: cache lookups and in-sweep dedup. Content-identical
+        # Phase 1: key the batch. Traced and profiled scenarios keep
+        # their own run (their artifact is not shareable), so they get
+        # no key: they neither dedupe nor cache. The scenarios of one
+        # sweep share sub-objects (app lists, device models, control
+        # configs), and one memo renders each of those once. The memo
+        # is keyed by id(), so it lives only for this loop: the batch
+        # keeps every keyed object alive and nothing else runs in it.
+        memo: dict = {}
+        keys: list[str | None] = [
+            scenario_key(scenario, memo)
+            if scenario.trace is None and scenario.prof is None
+            else None
+            for scenario in scenarios
+        ]
+        del memo
+
+        # Phase 2: cache lookups and in-sweep dedup. Content-identical
         # scenarios (same cache key -- search loops naturally re-propose
         # candidates) collapse onto one *primary* execution; the other
         # slots become followers and are filled from the primary's
-        # result. Traced and profiled scenarios keep their own run
-        # (their artifact is not shareable), so they neither dedupe nor
-        # cache.
-        keys: list[str | None] = [None] * total
+        # result.
         to_run: list[int] = []
         primary_of_key: dict[str, int] = {}
         followers: dict[int, list[int]] = {}
-        for index, scenario in enumerate(scenarios):
-            if scenario.trace is None and scenario.prof is None:
-                key = scenario_key(scenario)
-                keys[index] = key
+        for index, key in enumerate(keys):
+            if key is not None:
                 if self.cache is not None:
                     hit = self.cache.get(key)
                     if hit is not None:
@@ -322,7 +333,7 @@ class SweepExecutor:
                 primary_of_key[key] = index
             to_run.append(index)
 
-        # Phase 2: execute the misses.
+        # Phase 3: execute the misses.
         def note_busy(meta) -> None:
             nonlocal busy
             if meta is None:

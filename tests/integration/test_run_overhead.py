@@ -31,6 +31,7 @@ from pathlib import Path
 
 import repro
 from repro.cpu.cores import CoreSet
+from repro.exec.cachekey import scenario_key
 from repro.exec.summary import run_scenario_summary
 from repro.sim.engine import Simulator
 
@@ -175,6 +176,13 @@ class TestTracerCompatibility:
             "fn",
             "arg",
         ]
+
+    def test_scenario_key_keeps_its_first_parameter(self):
+        # The tracer wraps scenario_key by name as ``exec.key`` and
+        # forwards its arguments; a sweep passes its memo second.
+        parameters = inspect.signature(scenario_key).parameters
+        assert list(parameters) == ["scenario", "memo"]
+        assert parameters["memo"].default is None
 
     def test_traced_run_matches_untraced_and_sees_every_layer(self):
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")

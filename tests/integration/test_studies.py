@@ -18,6 +18,7 @@ Regenerate a golden after an intentional simulator change::
 """
 
 import builtins
+import hashlib
 import importlib
 import json
 import math
@@ -31,8 +32,10 @@ import pytest
 
 from repro.core.studies import STUDIES
 from repro.exec import ExecutorStats, ResultCache, SweepExecutor, canonical_text, scenario_key
-from repro.exec.cachekey import decode_canonical
+from repro.exec.cachekey import SCHEMA_VERSION, decode_canonical
 from repro.tools.cli import main
+
+from tests.differential.key_oracle import oracle_text
 
 DATA_DIR = pathlib.Path(__file__).parent.parent / "data"
 
@@ -472,6 +475,38 @@ def test_decoder_rebuilds_every_study_scenario(name, warm_run):
         assert decoded == scenario  # dataclass equality: a tuple is not a list
         assert canonical_text(decoded) == text
         assert scenario_key(decoded) == scenario_key(scenario)
+
+
+#: SHA-256 over each mini's warm submissions' cache keys, one key and a
+#: newline each, in submission order, as the seed renderer wrote them.
+#: A change that moves one key turns every warm cache cold. Only a
+#: SCHEMA_VERSION bump, which moves every key on purpose, may re-pin.
+SUBMITTED_KEYS_SHA256 = {
+    6: {
+        "table1": "899133c37677d61a4d574ed95ea9b5e05f8bfeb4fb0b81a38c171c811b1b571b",
+        "d5": "3760b3fe82f18aeb967aeac02aaa61536d95cde6b41f59c87f1537bc88e99608",
+        "tune": "c5bf22efde71866316d5ccbc4c8c690697e6bd8e5aab38ea71493cfe7eae2562",
+        "place": "2ed44d0f7caff6e2bda6833f52f88cd2283a609ac16a924a107b81a6798ad1b8",
+        "ctl": "ad5fbe7dbdcf60b5bf64ebdb49e05cf43b0459ea81d2d61270c17d6048824a2f",
+        "d9": "c585f81d0cdde4552a402ad2f491c8d2a4f60007570c4cad19c2cc688b9cc227",
+    },
+}
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_submitted_keys_are_pinned(name, warm_run):
+    keys = "".join(scenario_key(scenario) + "\n" for scenario in warm_run(name).submitted)
+    digest = hashlib.sha256(keys.encode()).hexdigest()
+    assert digest == SUBMITTED_KEYS_SHA256[SCHEMA_VERSION][name]
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_submissions_render_like_the_seed_oracle(name, warm_run):
+    """The renderer writes the test-local seed renderer's text, byte for byte."""
+    submitted = warm_run(name).submitted
+    assert submitted
+    for scenario in submitted:
+        assert canonical_text(scenario) == oracle_text(scenario), scenario.name
 
 
 @pytest.mark.parametrize("name", STUDIES)

@@ -29,6 +29,7 @@ from repro.exec.cachekey import (
     decode_canonical,
     scenario_key,
 )
+from repro.exec.executor import SweepExecutor
 from repro.faults import get_fault_plan
 from repro.ssd.presets import samsung_980pro_like
 from repro.tune.slo import GroupSlo, SloSpec
@@ -158,6 +159,77 @@ class TestScenarioKey:
 
     def test_salt_includes_schema_version(self):
         assert f"isolbench-cache:v{SCHEMA_VERSION}" in canonical_saltless_probe()
+
+
+#: ``scenario_key(base_scenario())`` as the seed renderer wrote it. A
+#: renderer change that moves a key turns every warm cache cold; only a
+#: SCHEMA_VERSION bump, which moves every key on purpose, may re-pin.
+BASE_SCENARIO_KEY = {
+    6: "da525a09f91e5b2b4dfe57da6d093d3757cbd6ba8993d737ac98e77a759fea55",
+}
+
+
+class _RecordingCache:
+    """A cache that hits on every key it is asked for, and lists them."""
+
+    def __init__(self) -> None:
+        self.keys: list[str] = []
+
+    def get(self, key: str) -> str:
+        self.keys.append(key)
+        return "hit"
+
+
+class TestMemo:
+    """A memo renders the sub-objects a batch shares once, for one sweep."""
+
+    def test_one_argument_key_is_pinned(self):
+        assert scenario_key(base_scenario()) == BASE_SCENARIO_KEY[SCHEMA_VERSION]
+
+    def test_one_argument_key_keeps_no_memo(self):
+        scenario = base_scenario()
+        before = scenario_key(scenario)
+        scenario.knob.weights["/tenants/a"] = 300
+        assert scenario_key(scenario) != before
+        assert scenario_key(scenario) == scenario_key(base_scenario(knob=scenario.knob))
+
+    def test_shared_and_unshared_sub_objects_key_alike(self):
+        apps = [batch_app("batch0", "/tenants/a"), lc_app("lc0", "/tenants/b")]
+        ssd = samsung_980pro_like()
+        shared = [base_scenario(name=f"s{i}", apps=apps, ssd_model=ssd) for i in range(3)]
+        unshared = [base_scenario(name=f"s{i}") for i in range(3)]
+        memo: dict = {}
+        shared_keys = [scenario_key(scenario, memo) for scenario in shared]
+        assert shared_keys == [scenario_key(scenario) for scenario in unshared]
+        assert len(set(shared_keys)) == 3
+
+    def test_a_batch_through_one_memo_keys_like_one_at_a_time(self):
+        apps = [batch_app("batch0", "/tenants/a"), lc_app("lc0", "/tenants/b")]
+        batch = [
+            base_scenario(apps=apps),
+            base_scenario(apps=apps, seed=43),
+            base_scenario(apps=apps, ctl=_ctl()),
+            base_scenario(apps=apps, faults=get_fault_plan("gc-storm")),
+            base_scenario(apps=[_phased_app(), *apps]),
+            base_scenario(apps=apps),  # a re-proposal: same content
+        ]
+        memo: dict = {}
+        batched = [scenario_key(scenario, memo) for scenario in batch]
+        assert batched == [scenario_key(scenario) for scenario in batch]
+        assert batched[0] == batched[5] and len(set(batched)) == 5
+        assert memo  # the shared app list was rendered into it
+
+    def test_the_memo_does_not_outlive_a_sweep(self):
+        scenario = base_scenario()
+        cache = _RecordingCache()
+        executor = SweepExecutor(max_workers=1, cache=cache)
+        assert executor.run([scenario, scenario]) == ["hit", "hit"]
+        scenario.knob.weights["/tenants/a"] = 300  # mutated between sweeps
+        assert executor.run([scenario]) == ["hit"]
+        first, again, second = cache.keys
+        assert first == again != second
+        assert second == scenario_key(scenario)
+        assert executor.stats.executed == 0
 
 
 class TestDecode:
