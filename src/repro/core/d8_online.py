@@ -449,30 +449,36 @@ def _outcome(
 def build_scenarios(
     settings: OnlineControlSettings,
 ) -> tuple[list[Scenario], list[tuple[str, str, str]]]:
-    """The full D8 scenario batch plus (knob, pattern, mode) labels."""
+    """The full D8 scenario batch plus (knob, pattern, mode) labels.
+
+    Each pattern's app list and fault plan are built once and shared by
+    every knob's scenarios, so a sweep's per-batch key memo renders each
+    once.
+    """
     knobs = static_knobs(settings)
     control = ctl_config(settings)
+    specs = {pattern: pattern_specs(settings, pattern) for pattern in settings.patterns}
+    faults = {
+        pattern: get_fault_plan("gc-storm") if pattern == "flash-crowd-gc" else None
+        for pattern in settings.patterns
+    }
     scenarios: list[Scenario] = []
     labels: list[tuple[str, str, str]] = []
     for knob_name in settings.knobs:
         for pattern in settings.patterns:
-            specs = pattern_specs(settings, pattern)
-            faults = (
-                get_fault_plan("gc-storm") if pattern == "flash-crowd-gc" else None
-            )
             for mode in (STATIC, ONLINE):
                 scenarios.append(
                     Scenario(
                         name=f"d8-{knob_name}-{pattern}-{mode}",
                         knob=knobs[knob_name],
-                        apps=specs,
+                        apps=specs[pattern],
                         ssd_model=settings.ssd,
                         cores=settings.cores,
                         duration_s=settings.duration_s,
                         warmup_s=settings.warmup_s,
                         seed=settings.seed,
                         device_scale=settings.device_scale,
-                        faults=faults,
+                        faults=faults[pattern],
                         ctl=control if mode == ONLINE else None,
                     )
                 )

@@ -12,15 +12,36 @@ it, the header length, a canonical JSON header (schema version, key, the
 summary's scalar fields, each app's ``[name, cgroup, rows]`` and the
 scenario's :func:`~repro.exec.cachekey.canonical_text`), then each app's
 columns as raw little-endian bytes: times and latencies (float64), sizes
-(int64), ops (int8). ``get`` maps the columns with ``np.frombuffer`` and
-never decodes the scenario; the surrogate corpus does, through
-:meth:`ResultCache.read_entry`. Reads are defensive: a truncated,
-corrupt, wrong-key or wrong-schema file is treated as a *miss* (and
-removed) -- a poisoned cache can cost a recomputation but never a crash
-or a wrong result. Writes are atomic (temp file + ``os.replace``) so a
-killed run cannot leave a half-written entry behind. Gzipped pickles
-left by older releases (``*.pkl.gz``) are never opened; ``repro-cache
-stats`` counts them and ``repro-cache clear`` removes them.
+(int64), ops (int8). ``put`` pads the JSON with 0-7 trailing spaces so
+the first app's columns start 8-byte aligned; the header length covers
+the padding, and JSON ignores it, so padded and unpadded entries read
+alike.
+
+``get`` and :meth:`ResultCache.read_entry` map the file read-only
+(``mmap``) and check it in place: each column is an ``np.frombuffer``
+view of the mapping, read-only, and the scenario is decoded only by the
+surrogate corpus. A mapping, and the duplicate of the file's descriptor
+that ``mmap`` keeps open with it (``trackfd=False``, which would not
+keep one, needs Python 3.13), lives as long as any column of its
+summary does. So that live summaries never use up the process's
+descriptors, at most a quarter of the soft ``RLIMIT_NOFILE`` (and at
+most 1024) entries are mapped at once; past that a hit reads its file
+into memory, and its columns view that copy. Reads are defensive: a
+truncated, corrupt, wrong-key or wrong-schema file is treated as a
+*miss* (and removed) -- a poisoned cache costs a recomputation, not a
+wrong result. An ``OSError`` raised while opening, mapping or reading
+the file (out of descriptors, ``mmap`` refused, permission, I/O error)
+says nothing about the content: it is a miss that keeps the file. Once
+an entry is mapped, its pages are read on first touch, by the CRC check
+or a later accessor; a device error there, or an entry truncated in
+place under a live summary, raises ``SIGBUS`` and kills the process
+instead. Nothing here truncates an entry in place: every write goes to a
+temp file that ``os.replace`` renames over the entry, so a killed run
+cannot leave a half-written entry behind, and a mapped summary keeps
+reading the bytes it was built from after its entry is replaced or
+unlinked. Gzipped pickles left by older releases (``*.pkl.gz``) are
+never opened; ``repro-cache stats`` counts them and ``repro-cache
+clear`` removes them.
 
 Invalidation is purely structural: the key hashes the full scenario
 content plus :data:`~repro.exec.cachekey.SCHEMA_VERSION`, so editing a
@@ -33,9 +54,12 @@ changes that keys cannot see.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import resource
 import struct
 import tempfile
+import weakref
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,8 +93,37 @@ class _SchemaMismatch(ValueError):
     """An intact entry written under another ``SCHEMA_VERSION``."""
 
 
-def _decode_entry(data: bytes) -> tuple[dict, ScenarioSummary]:
-    """Header and summary of one entry file; raises when it is malformed."""
+#: Entries mapped by live summaries, each holding one descriptor. The
+#: count is process-wide because the descriptor table is.
+_mapped: weakref.WeakSet = weakref.WeakSet()
+#: Most entries mapped at once, whatever the descriptor limit: each
+#: mapping also takes one of a process's memory-map areas (Linux allows
+#: 65,530 by default).
+_MAPPED_MAX = 1024
+
+
+def _map_budget() -> int:
+    """How many entries may be mapped at once: a quarter of the soft
+    descriptor limit, which leaves the rest to pools, pipes and writes."""
+    return min(resource.getrlimit(resource.RLIMIT_NOFILE)[0] // 4, _MAPPED_MAX)
+
+
+def _load_entry(path: Path) -> tuple[dict, ScenarioSummary]:
+    """Header and summary of one entry file, mapped read-only.
+
+    Past the mapping budget the file is read into memory instead.
+    Raises ``OSError`` when the file cannot be opened, mapped or read
+    and another exception when its content is malformed.
+    """
+    if len(_mapped) < _map_budget():
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+        _mapped.add(data)
+    else:
+        data = path.read_bytes()
     (crc,) = _CRC.unpack_from(data, len(_MAGIC))
     body = memoryview(data)[len(_MAGIC) + _CRC.size :]
     if data[: len(_MAGIC)] != _MAGIC or zlib.crc32(body) != crc:
@@ -131,10 +184,13 @@ class ResultCache:
         """The stored summary, or None on miss/corruption."""
         path = self.path_for(key)
         try:
-            header, summary = _decode_entry(path.read_bytes())
+            header, summary = _load_entry(path)
             if header["key"] != key:
                 raise ValueError("entry stored under another key")
-        except FileNotFoundError:
+        except OSError:
+            # Missing, or unreadable for a reason outside the file's
+            # content (descriptors, memory, permission, I/O): a miss
+            # that keeps the file.
             self.stats.misses += 1
             return None
         except Exception:
@@ -160,7 +216,7 @@ class ResultCache:
         """
         path = Path(path)
         try:
-            header, summary = _decode_entry(path.read_bytes())
+            header, summary = _load_entry(path)
         except _SchemaMismatch:
             return "schema", None, None
         except Exception:
@@ -176,7 +232,8 @@ class ResultCache:
         produced the summary) is stored as canonical text when given,
         so the entry doubles as surrogate training data
         (:func:`repro.surrogate.corpus.load_corpus`); ``get`` ignores
-        it. The header and each column buffer are written in turn.
+        it. The header, padded so the first app's columns start 8-byte
+        aligned, and each column buffer are written in turn.
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -191,6 +248,7 @@ class ResultCache:
             "summary": scalars,
         }
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        header_bytes += b" " * (-(_HEADER_AT + len(header_bytes)) % 8)
         body = [_LENGTH.pack(len(header_bytes)), header_bytes] + [
             np.ascontiguousarray(getattr(log, name), dtype=dtype)
             for log in apps.values()
