@@ -45,6 +45,7 @@ from repro.exec.summary import ScenarioSummary
 from repro.iorequest import KIB, OpType, Pattern
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
+from repro.tune.slo import full_speed_delivery
 
 _PRIO_CLASSES = ("realtime", "best-effort", "idle")
 
@@ -91,13 +92,13 @@ def _config_point(
     be_variant: str,
     device_scale: float,
 ) -> TradeoffPoint:
-    prio = summary.app_stats("prio")
+    # Report full-device-speed equivalents (time dilation).
+    p99, bandwidth = full_speed_delivery(summary.app_stats("prio"), device_scale)
     if priority_kind == "batch":
-        metric = prio.bandwidth_mib_s * device_scale
+        metric = bandwidth
         maximize = True
     else:
-        # Report the full-device-speed equivalent latency (time dilation).
-        metric = prio.latency.p99_us / device_scale if prio.latency else math.inf
+        metric = p99 if p99 is not None else math.inf
         maximize = False
     return TradeoffPoint(
         knob=knob.profile_name,

@@ -49,7 +49,7 @@ from repro.faults import get_fault_plan
 from repro.iorequest import KIB, OpType, Pattern
 from repro.ssd.model import SsdModel
 from repro.ssd.presets import samsung_980pro_like
-from repro.tune.slo import GroupSlo, SloSpec
+from repro.tune.slo import GroupSlo, SloSpec, full_speed_delivery
 from repro.workloads.apps import be_app, lc_app
 from repro.workloads.patterns import (
     churn_windows,
@@ -420,15 +420,16 @@ def _outcome(
 ) -> CellOutcome:
     """Distill one run into its D8 cell."""
     groups = summary.cgroup_stats()
-    prio = groups.get(PRIORITY_GROUP)
-    if prio is None or prio.latency is None:
+    prio_p99, prio_mib_s = full_speed_delivery(
+        groups.get(PRIORITY_GROUP), settings.device_scale
+    )
+    if prio_p99 is None:
         raise RuntimeError(
             f"d8 run {knob}/{pattern}/{mode}: the priority app completed no "
             f"requests in the measurement window — the load shape starved "
             f"it entirely; lengthen duration_s or soften the pattern"
         )
-    be = groups.get(BE_GROUP)
-    p99_full_speed = prio.latency.p99_us / settings.device_scale
+    _, be_mib_s = full_speed_delivery(groups.get(BE_GROUP), settings.device_scale)
     counters = summary.ctl_counters
     applied = sum(
         value for key, value in counters.items() if key.endswith(".applied")
@@ -437,10 +438,10 @@ def _outcome(
         knob=knob,
         pattern=pattern,
         mode=mode,
-        prio_p99_us=p99_full_speed,
-        prio_mib_s=prio.bandwidth_mib_s * settings.device_scale,
-        be_mib_s=(be.bandwidth_mib_s * settings.device_scale) if be else 0.0,
-        slo_met=p99_full_speed <= settings.slo_p99_us,
+        prio_p99_us=prio_p99,
+        prio_mib_s=prio_mib_s,
+        be_mib_s=be_mib_s,
+        slo_met=prio_p99 <= settings.slo_p99_us,
         ctl_applied=applied,
         ctl_steps=counters.get("steps", 0.0),
     )

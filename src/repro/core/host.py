@@ -373,11 +373,11 @@ class Host:
 
         slo = config.slo
         if slo.utilization_floor is not None and slo.utilization_reference_mib_s is None:
-            from repro.tune.slo import default_utilization_reference_mib_s
+            from repro.tune.slo import utilization_reference_mib_s
 
             slo = dataclasses.replace(
                 slo,
-                utilization_reference_mib_s=default_utilization_reference_mib_s(
+                utilization_reference_mib_s=utilization_reference_mib_s(
                     self.scenario.ssd_model
                 ),
             )

@@ -40,7 +40,7 @@ class ScenarioResult(ScenarioSummary):
 
         A list of self-describing JSONL-ready records (``observe`` /
         ``actuation`` / ``skip``), exportable with
-        :func:`repro.ctl.write_ctl_trace`. Like the observability trace
+        :func:`repro.obs.export.write_records_jsonl`. Like the observability trace
         the artifact lives on the Host, so it is only available on a
         freshly executed (non-cached) result.
         """

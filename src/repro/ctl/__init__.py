@@ -28,7 +28,7 @@ from repro.ctl.controllers import (
     VrateController,
 )
 from repro.ctl.pid import PidState, RateLimiter
-from repro.ctl.plane import ControlPlane, write_ctl_trace
+from repro.ctl.plane import ControlPlane
 
 __all__ = [
     "Actuation",
@@ -45,5 +45,4 @@ __all__ = [
     "PidState",
     "RateLimiter",
     "ControlPlane",
-    "write_ctl_trace",
 ]

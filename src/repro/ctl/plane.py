@@ -10,12 +10,11 @@ tuner ranks configurations with), and hands the resulting
 :class:`~repro.ctl.base.ControlObservation` to each controller's
 observe/step cycle. Every observation and every actuation -- applied or
 suppressed -- is appended to the decision trace, exportable as JSONL
-via :func:`write_ctl_trace`.
+via :func:`~repro.obs.export.write_records_jsonl`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Mapping
 
 from repro.ctl.base import ControlObservation, Controller
@@ -132,16 +131,3 @@ class ControlPlane:
             for key, value in controller.counters().items():
                 row[f"{controller.name}.{key}"] = value
         return row
-
-
-def write_ctl_trace(records: list[dict], path) -> int:
-    """Write decision-trace records as JSONL; returns the record count.
-
-    Each line is a self-describing object (``type`` field: ``observe`` /
-    ``actuation`` / ``skip``) with deterministic key order, mirroring
-    the tune advisor's decision-trace format.
-    """
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(records)

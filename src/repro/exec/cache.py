@@ -210,15 +210,20 @@ class ResultCache:
         """Classify one entry file without ever unlinking it.
 
         Returns ``(status, summary, scenario_text)``: status ``ok``,
-        ``schema`` (intact, another schema version) or ``corrupt``
-        (anything else, a key that is not the file's name included);
-        ``scenario_text`` is None when the writer stored no scenario.
+        ``schema`` (intact, another schema version), ``unreadable`` (an
+        ``OSError`` while opening, mapping or reading the file, which
+        says nothing about its content, as in :meth:`get`) or
+        ``corrupt`` (anything else, a key that is not the file's name
+        included); ``scenario_text`` is None when the writer stored no
+        scenario.
         """
         path = Path(path)
         try:
             header, summary = _load_entry(path)
         except _SchemaMismatch:
             return "schema", None, None
+        except OSError:
+            return "unreadable", None, None
         except Exception:
             return "corrupt", None, None
         if f"{header['key']}{_SUFFIX}" != path.name:

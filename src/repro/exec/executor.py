@@ -68,23 +68,14 @@ class SweepFailure(RuntimeError):
         self.error = error
 
 
-@dataclass(frozen=True)
-class SweepProgress:
-    """One ``k/n`` progress tick of a running sweep."""
+class _PoolRates:
+    """Event throughput and worker-pool utilization of sweep counters.
 
-    done: int
-    total: int
-    cached: int
-    failed: int
-    events_processed: int
-    elapsed_seconds: float
-    #: Submissions satisfied by an identical in-sweep scenario (same
-    #: content-addressed key) instead of their own execution.
-    deduped: int = 0
-    #: Worker-side seconds spent executing scenarios so far this sweep.
-    busy_seconds: float = 0.0
-    #: Size of the worker pool the sweep is fanning over.
-    workers: int = 1
+    Shared by :class:`SweepProgress` (one sweep so far) and
+    :class:`ExecutorStats` (an executor's lifetime); both carry
+    ``events_processed``, ``elapsed_seconds``, ``busy_seconds`` and
+    ``workers``.
+    """
 
     @property
     def events_per_sec(self) -> float:
@@ -106,6 +97,25 @@ class SweepProgress:
         capacity = self.workers * self.elapsed_seconds
         return self.busy_seconds / capacity if capacity > 0 else 0.0
 
+
+@dataclass(frozen=True)
+class SweepProgress(_PoolRates):
+    """One ``k/n`` progress tick of a running sweep."""
+
+    done: int
+    total: int
+    cached: int
+    failed: int
+    events_processed: int
+    elapsed_seconds: float
+    #: Submissions satisfied by an identical in-sweep scenario (same
+    #: content-addressed key) instead of their own execution.
+    deduped: int = 0
+    #: Worker-side seconds spent executing scenarios so far this sweep.
+    busy_seconds: float = 0.0
+    #: Size of the worker pool the sweep is fanning over.
+    workers: int = 1
+
     def __str__(self) -> str:
         deduped = f", {self.deduped} deduped" if self.deduped else ""
         return (
@@ -116,7 +126,7 @@ class SweepProgress:
 
 
 @dataclass
-class ExecutorStats:
+class ExecutorStats(_PoolRates):
     """Cumulative counters over an executor's lifetime."""
 
     sweeps: int = 0
@@ -135,26 +145,6 @@ class ExecutorStats:
     #: Busy seconds per worker process, keyed by pid (the coordinating
     #: process itself for serial executors).
     worker_busy: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def events_per_sec(self) -> float:
-        """Lifetime aggregate event throughput of executed runs."""
-        return (
-            self.events_processed / self.elapsed_seconds
-            if self.elapsed_seconds > 0
-            else 0.0
-        )
-
-    @property
-    def idle_seconds(self) -> float:
-        """Lifetime worker-seconds of idle pool capacity."""
-        return max(0.0, self.workers * self.elapsed_seconds - self.busy_seconds)
-
-    @property
-    def utilization(self) -> float:
-        """Lifetime fraction of worker-pool capacity spent executing."""
-        capacity = self.workers * self.elapsed_seconds
-        return self.busy_seconds / capacity if capacity > 0 else 0.0
 
     def to_json_dict(self) -> dict:
         """Plain-dict form for bench trajectory files."""

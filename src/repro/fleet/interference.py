@@ -35,9 +35,8 @@ from dataclasses import dataclass
 
 from repro.core.config import NoneKnob, Scenario
 from repro.exec.executor import SweepExecutor, resolve_executor
-from repro.exec.summary import ScenarioSummary
 from repro.fleet.spec import FleetSpec, TenantSpec
-from repro.tune.slo import VIOLATION_CAP
+from repro.tune.slo import SloSpec, full_speed_delivery, score_deliveries
 
 #: p99 measured for a starved tenant (no completions): effectively
 #: infinite, kept finite so JSON round-trips losslessly.
@@ -119,59 +118,63 @@ MINI_MATRIX = MatrixSettings(duration_s=0.3, warmup_s=0.1, device_scale=16.0)
 QUICK_MATRIX = MatrixSettings(duration_s=0.8, warmup_s=0.2, device_scale=8.0)
 
 
-def measure_from_summary(
-    summary: ScenarioSummary, cgroup: str
-) -> TenantMeasure:
-    """Extract one tenant's full-speed delivery from a scenario summary.
-
-    Uses the same unit conventions as :func:`repro.tune.slo.score_summary`:
-    p99 divides by ``device_scale``, bandwidth multiplies by it. A tenant
-    with no completions measures :data:`STARVED_P99_US` / 0 MiB/s.
-    """
-    stats = summary.cgroup_stats().get(cgroup)
-    return measure_from_stats(stats, summary.device_scale)
-
-
 def measure_from_stats(stats, scale: float) -> TenantMeasure:
-    """:func:`measure_from_summary` from one group's window stats.
+    """One tenant's full-speed delivery from its group's window stats.
 
     ``stats`` is the tenant's entry of ``summary.cgroup_stats()`` (None
-    when it completed nothing); ``scale`` is the summary's
-    ``device_scale``. A pair summary measures both tenants from one
-    ``cgroup_stats()`` call this way.
+    when it completed nothing) and ``scale`` the summary's
+    ``device_scale``, converted by
+    :func:`~repro.tune.slo.full_speed_delivery`; a starved tenant
+    measures :data:`STARVED_P99_US`. A pair summary measures both
+    tenants from one ``cgroup_stats()`` call this way.
     """
-    if stats is None or stats.latency is None:
-        bandwidth = stats.bandwidth_mib_s * scale if stats is not None else 0.0
-        return TenantMeasure(p99_us=STARVED_P99_US, bandwidth_mib_s=bandwidth)
+    p99, bandwidth = full_speed_delivery(stats, scale)
     return TenantMeasure(
-        p99_us=stats.latency.p99_us / scale,
-        bandwidth_mib_s=stats.bandwidth_mib_s * scale,
+        p99_us=STARVED_P99_US if p99 is None else p99, bandwidth_mib_s=bandwidth
     )
 
 
 def slo_violation(measure: TenantMeasure, tenant: TenantSpec) -> float:
     """Score one tenant's (measured or predicted) delivery against its SLO.
 
-    The exact normalized-and-capped formula of
-    :func:`repro.tune.slo.score_summary`: a p99 ceiling contributes
-    ``measured/target - 1`` when exceeded, a bandwidth floor contributes
-    ``(target - measured)/target``, each clamped to
-    :data:`~repro.tune.slo.VIOLATION_CAP`. Zero means the SLO is met.
+    The tenant's objective scored by
+    :func:`~repro.tune.slo.score_deliveries`, the tuner's capped
+    per-term formulas; a starved tenant's :data:`STARVED_P99_US` scores
+    as a p99 like any other. Zero means the SLO is met.
     """
     group = tenant.group_slo()
     if group is None:
         return 0.0
-    total = 0.0
-    if group.p99_latency_us is not None:
-        total += max(
-            0.0, min(VIOLATION_CAP, measure.p99_us / group.p99_latency_us - 1.0)
-        )
-    if group.min_bandwidth_mib_s is not None:
-        floor = group.min_bandwidth_mib_s
-        total += max(
-            0.0, min(VIOLATION_CAP, (floor - measure.bandwidth_mib_s) / floor)
-        )
-    return total
+    deliveries = {group.cgroup: (measure.p99_us, measure.bandwidth_mib_s)}
+    return score_deliveries(SloSpec(groups=(group,)), deliveries).total
+
+
+def pair_effect(
+    tenant: str,
+    partner: str,
+    base: TenantMeasure,
+    shared: TenantMeasure,
+    predicted: bool = False,
+) -> PairEffect:
+    """The directional effect of ``partner`` on ``tenant``: shared over solo.
+
+    The one clamp of measured and predicted pairs alike: the p99 ratio
+    is at least 1.0 and the bandwidth retention in ``[1e-6, 1]``; a zero
+    solo baseline gives a neutral 1.0.
+    """
+    ratio = max(1.0, shared.p99_us / base.p99_us) if base.p99_us > 0 else 1.0
+    if base.bandwidth_mib_s > 0:
+        retention = shared.bandwidth_mib_s / base.bandwidth_mib_s
+        retention = max(1e-6, min(1.0, retention))
+    else:
+        retention = 1.0
+    return PairEffect(
+        tenant=tenant,
+        partner=partner,
+        p99_ratio=ratio,
+        bandwidth_retention=retention,
+        predicted=predicted,
+    )
 
 
 def solo_scenario(
@@ -352,7 +355,9 @@ def build_matrix(
 
     solo: dict[str, TenantMeasure] = {}
     for tenant, summary in zip(tenants, summaries[: len(tenants)]):
-        solo[tenant.name] = measure_from_summary(summary, tenant.cgroup)
+        solo[tenant.name] = measure_from_stats(
+            summary.cgroup_stats().get(tenant.cgroup), summary.device_scale
+        )
 
     effects: dict[tuple[str, str], PairEffect] = {}
     cursor = len(tenants)
@@ -364,21 +369,8 @@ def build_matrix(
             shared = measure_from_stats(
                 groups.get(tenant.cgroup), summary.device_scale
             )
-            base = solo[tenant.name]
-            if base.p99_us > 0:
-                ratio = max(1.0, shared.p99_us / base.p99_us)
-            else:
-                ratio = 1.0
-            if base.bandwidth_mib_s > 0:
-                retention = shared.bandwidth_mib_s / base.bandwidth_mib_s
-                retention = max(1e-6, min(1.0, retention))
-            else:
-                retention = 1.0
-            effects[(tenant.name, partner.name)] = PairEffect(
-                tenant=tenant.name,
-                partner=partner.name,
-                p99_ratio=ratio,
-                bandwidth_retention=retention,
+            effects[(tenant.name, partner.name)] = pair_effect(
+                tenant.name, partner.name, solo[tenant.name], shared
             )
 
     for first, second in pairs[len(measured):]:

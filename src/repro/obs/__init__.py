@@ -16,6 +16,7 @@ from repro.obs.export import (
     read_spans_csv,
     write_chrome_trace,
     write_jsonl,
+    write_records_jsonl,
     write_samples_csv,
     write_spans_csv,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "LatencyAttribution",
     "StackSampler",
     "write_jsonl",
+    "write_records_jsonl",
     "read_jsonl",
     "write_spans_csv",
     "read_spans_csv",

@@ -5,7 +5,8 @@ run metadata. Three serializations cover the common consumers:
 
 * **JSONL** — one self-describing record per line (``type`` field:
   ``meta`` / ``span`` / ``sample``); the lossless interchange format,
-  round-trippable via :func:`read_jsonl`.
+  round-trippable via :func:`read_jsonl`. The tune and ctl decision
+  traces are JSONL too, written by :func:`write_records_jsonl`.
 * **CSV** — two flat tables (spans, samples) for pandas/spreadsheets.
 * **Chrome Trace Event Format** — a browsable timeline for Perfetto or
   ``chrome://tracing``: per-request slices on per-app lanes split into
@@ -86,6 +87,18 @@ def write_jsonl(trace: Trace, path: str) -> None:
             record = {"type": "sample"}
             record.update(row)
             fh.write(json.dumps(record) + "\n")
+
+
+def write_records_jsonl(records: list[dict], path) -> int:
+    """Write plain-dict records one per line, keys sorted; returns the count.
+
+    The one writer of the decision traces ``isol-bench tune`` and
+    ``isol-bench ctl`` export with ``--trace-out``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return len(records)
 
 
 def read_jsonl(path: str) -> Trace:

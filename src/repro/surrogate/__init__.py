@@ -42,8 +42,7 @@ from repro.surrogate.features import (
     featurize,
     featurize_scenario,
     scenario_cgroups,
-    targets_from_summary,
-    utilization_reference_mib_s,
+    targets_from_stats,
 )
 from repro.surrogate.filter import (
     DEFAULT_POOL_FACTOR,
@@ -77,8 +76,7 @@ __all__ = [
     "featurize",
     "featurize_scenario",
     "scenario_cgroups",
-    "targets_from_summary",
-    "utilization_reference_mib_s",
+    "targets_from_stats",
     "DEFAULT_POOL_FACTOR",
     "RankedCandidate",
     "SurrogatePrefilter",

@@ -37,8 +37,8 @@ from repro.surrogate.features import (
     featurize,
     scenario_cgroups,
     targets_from_stats,
-    utilization_reference_mib_s,
 )
+from repro.tune.slo import utilization_reference_mib_s
 
 #: Fewest rows ``--surrogate=auto`` will fit on; below this the tuner
 #: falls back to pure-simulator search with an explicit notice.
@@ -62,6 +62,10 @@ class CorpusStats:
     skipped_no_scenario: int = 0
     #: Entries whose scenario or summary failed featurization.
     skipped_unfeaturizable: int = 0
+    #: Files the process could not open, map or read (out of
+    #: descriptors or memory, permission, I/O): nothing is known about
+    #: their content, so they are not counted as corrupt.
+    skipped_unreadable: int = 0
 
     @property
     def skipped(self) -> int:
@@ -71,16 +75,19 @@ class CorpusStats:
             + self.skipped_schema
             + self.skipped_no_scenario
             + self.skipped_unfeaturizable
+            + self.skipped_unreadable
         )
 
     def __str__(self) -> str:
         parts = [f"{self.entries_loaded}/{self.entries_seen} entries loaded"]
         if self.skipped:
+            unreadable = self.skipped_unreadable
             parts.append(
                 f"skipped {self.skipped} "
                 f"(corrupt={self.skipped_corrupt} schema={self.skipped_schema} "
                 f"no-scenario={self.skipped_no_scenario} "
-                f"unfeaturizable={self.skipped_unfeaturizable})"
+                f"unfeaturizable={self.skipped_unfeaturizable}"
+                f"{f' unreadable={unreadable}' if unreadable else ''})"
             )
         return ", ".join(parts)
 
@@ -93,6 +100,7 @@ class CorpusStats:
             "skipped_schema": self.skipped_schema,
             "skipped_no_scenario": self.skipped_no_scenario,
             "skipped_unfeaturizable": self.skipped_unfeaturizable,
+            "skipped_unreadable": self.skipped_unreadable,
         }
 
 
@@ -155,7 +163,7 @@ class Corpus:
 
     def extend_from_pair(self, scenario: Scenario, summary: ScenarioSummary) -> int:
         """Append one run's rows (one per cgroup); returns rows added."""
-        reference = utilization_reference_mib_s(scenario)
+        reference = utilization_reference_mib_s(scenario.ssd_model)
         groups = summary.cgroup_stats()
         added = 0
         for cgroup in scenario_cgroups(scenario):
@@ -179,7 +187,9 @@ def read_entry(path: Path) -> tuple[str, Scenario | None, ScenarioSummary | None
     """Classify one cache entry file for corpus loading.
 
     Returns ``(status, scenario, summary)`` where status is one of
-    ``ok`` / ``corrupt`` / ``schema`` / ``no_scenario``. Unlike
+    ``ok`` / ``corrupt`` / ``schema`` / ``unreadable`` / ``no_scenario``
+    (the first four as :meth:`~repro.exec.cache.ResultCache.read_entry`
+    classifies the file). Unlike
     :meth:`~repro.exec.cache.ResultCache.get`, this never unlinks
     anything -- the corpus is a read-only consumer of the cache.
     """
@@ -210,14 +220,10 @@ def load_corpus(cache_dir: Path | str | None = None) -> Corpus:
     for path in cache.entries():
         corpus.stats.entries_seen += 1
         status, scenario, summary = read_entry(path)
-        if status == "corrupt":
-            corpus.stats.skipped_corrupt += 1
-            continue
-        if status == "schema":
-            corpus.stats.skipped_schema += 1
-            continue
-        if status == "no_scenario":
-            corpus.stats.skipped_no_scenario += 1
+        if status != "ok":
+            # Every skip status counts in its own ``skipped_<status>``.
+            counter = f"skipped_{status}"
+            setattr(corpus.stats, counter, getattr(corpus.stats, counter) + 1)
             continue
         try:
             corpus.extend_from_pair(scenario, summary)

@@ -19,11 +19,11 @@ produced here. The encoding is:
   multiple of the device's fixed read cost -- so one model generalizes
   across device presets and ``device_scale`` effort levels.
 
-Targets (:func:`targets_from_summary`) use the same full-device-speed
-unit conventions as :mod:`repro.tune.slo` and
-:mod:`repro.fleet.interference`: p99 divides by ``device_scale``,
-bandwidth multiplies by it, and a starved group reports the finite
-:data:`~repro.fleet.interference.STARVED_P99_US` sentinel.
+Targets (:func:`targets_from_stats`) are full-device-speed values
+converted by :func:`repro.tune.slo.full_speed_delivery`, the convention
+the SLO scorer and the fleet matrices share. A starved group's p99 (no
+latency sample) trains at :data:`TARGET_P99_CAP_US`, not at the SLO
+terms' ``inf`` or the fleet's ``STARVED_P99_US``.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from repro.core.config import (
     MqDeadlineKnob,
     Scenario,
 )
-from repro.exec.summary import ScenarioSummary
 from repro.iorequest import Pattern
 from repro.ssd.model import describe_model_dict
+from repro.tune.slo import full_speed_delivery
 
 #: Version of the feature encoding. Bump on any change to
 #: :func:`feature_names` or the cell semantics; saved models record it
@@ -52,16 +52,12 @@ FEATURE_SCHEMA_VERSION = 1
 #: units (microseconds, MiB/s, fraction of device saturation).
 TARGET_NAMES = ("p99_us", "bandwidth_mib_s", "util")
 
-#: Finite stand-in for an unbounded p99 (mirrors
-#: ``repro.fleet.interference.STARVED_P99_US`` without importing fleet).
-STARVED_P99_US = float(10**9)
-
 #: Training-target ceiling for p99. Starved groups train (and predict)
-#: at this cap rather than the 1e9 sentinel: in log space the sentinel
-#: sits ~5 decades above any real latency, and a handful of starved
-#: rows would dominate every fit and error metric. The cap still ranks
-#: above every achievable p99, so "predicted starved" stays the worst
-#: outcome a candidate can have.
+#: at this cap rather than the fleet's 1e9 sentinel: in log space the
+#: sentinel sits ~5 decades above any real latency, and a handful of
+#: starved rows would dominate every fit and error metric. The cap
+#: still ranks above every achievable p99, so "predicted starved" stays
+#: the worst outcome a candidate can have.
 TARGET_P99_CAP_US = float(10**6)
 
 #: Knob identity classes, in one-hot order.
@@ -486,52 +482,31 @@ def featurize_scenario(scenario: Scenario) -> dict[str, list[float]]:
     return {cgroup: featurize(scenario, cgroup) for cgroup in scenario_cgroups(scenario)}
 
 
-def utilization_reference_mib_s(scenario: Scenario) -> float:
-    """The util target's denominator: 4 KiB random-read saturation.
+def target_p99_us(p99_us: float | None) -> float:
+    """A full-speed p99 as a training target.
 
-    Identical to :func:`repro.tune.slo.default_utilization_reference_mib_s`
-    but keyed off the scenario so corpus building needs no extra inputs.
+    Starved (None, or an SLO term's ``inf``) reads as
+    :data:`TARGET_P99_CAP_US`, which also clamps any measured p99.
     """
-    doc = describe_model_dict(scenario.ssd_model)
-    return doc["cases"]["rand-read-4k"]["bandwidth_bps"] / (1024.0 * 1024.0)
-
-
-def targets_from_summary(
-    summary: ScenarioSummary, cgroup: str, reference_mib_s: float | None = None
-) -> tuple[float, float, float]:
-    """One group's ``(p99_us, bandwidth_mib_s, util)`` training targets.
-
-    Full-device-speed units throughout (the :mod:`repro.tune.slo`
-    convention): p99 divides by the summary's ``device_scale``,
-    bandwidth multiplies by it, and utilization is the group's
-    full-speed bandwidth over ``reference_mib_s`` (0.0 when no
-    reference is given). A starved group (no completions in the
-    measurement window) trains at the :data:`TARGET_P99_CAP_US`
-    ceiling, which also clamps any measured p99.
-    """
-    stats = summary.cgroup_stats().get(cgroup)
-    return targets_from_stats(stats, summary.device_scale, reference_mib_s)
+    return TARGET_P99_CAP_US if p99_us is None else min(TARGET_P99_CAP_US, p99_us)
 
 
 def targets_from_stats(
     stats, scale: float, reference_mib_s: float | None = None
 ) -> tuple[float, float, float]:
-    """:func:`targets_from_summary` from one group's window stats.
+    """One group's ``(p99_us, bandwidth_mib_s, util)`` training targets.
 
     ``stats`` is the group's entry of ``summary.cgroup_stats()`` (None
-    when the group completed nothing); ``scale`` is the summary's
-    ``device_scale``. Callers featurizing every group of one summary
-    compute ``cgroup_stats()`` once and pass each group's entry here.
+    when the group completed nothing) and ``scale`` the summary's
+    ``device_scale``, converted by
+    :func:`~repro.tune.slo.full_speed_delivery`; the p99 goes through
+    :func:`target_p99_us`, and utilization is the full-speed bandwidth
+    over ``reference_mib_s`` (0.0 when no reference is given). Callers
+    featurizing every group of one summary compute ``cgroup_stats()``
+    once and pass each group's entry here.
     """
-    if stats is None:
-        p99, bandwidth = TARGET_P99_CAP_US, 0.0
-    else:
-        bandwidth = stats.bandwidth_mib_s * scale
-        if stats.latency is None:
-            p99 = TARGET_P99_CAP_US
-        else:
-            p99 = min(TARGET_P99_CAP_US, stats.latency.p99_us / scale)
+    p99, bandwidth = full_speed_delivery(stats, scale)
     util = 0.0
     if reference_mib_s is not None and reference_mib_s > 0:
         util = bandwidth / reference_mib_s
-    return p99, bandwidth, util
+    return target_p99_us(p99), bandwidth, util

@@ -5,9 +5,10 @@
 wide candidate pool, the prefilter renders each candidate's scenario,
 featurizes every cgroup, predicts per-group p99 / bandwidth / util with
 the :class:`~repro.surrogate.model.SurrogateModel`, scores the
-*predicted* delivery against the SLO with the exact
-:func:`~repro.tune.slo.score_cgroup_stats` formulas, and returns the
-candidates ranked by predicted violation. Only the top-k ever reach the
+*predicted* full-speed delivery against the SLO with
+:func:`~repro.tune.slo.score_deliveries` (the formulas the simulator
+path is scored with), and returns the candidates ranked by predicted
+violation. Only the top-k ever reach the
 ``SweepExecutor``-backed evaluator.
 
 Trust is measured, not assumed: every candidate the simulator verifies
@@ -26,31 +27,15 @@ from repro.surrogate.features import (
     TARGET_P99_CAP_US,
     featurize,
     scenario_cgroups,
+    target_p99_us,
 )
 from repro.surrogate.model import SurrogateModel, mean_absolute_error, spearman
 from repro.tune.evaluator import Evaluation
-from repro.tune.slo import SloSpec, score_cgroup_stats
+from repro.tune.slo import SloSpec, score_deliveries
 
 #: Default width multiplier: candidates scored per simulator run the
 #: verification budget buys (the "search 100x wider" dial).
 DEFAULT_POOL_FACTOR = 64
-
-
-class _PredictedLatency:
-    """Duck-typed ``LatencySummary`` carrying only the p99."""
-
-    def __init__(self, p99_us: float):
-        self.p99_us = p99_us
-
-
-class _PredictedStats:
-    """Duck-typed ``AppWindowStats`` built from surrogate predictions."""
-
-    def __init__(self, p99_us: float, bandwidth_mib_s: float):
-        self.latency = (
-            _PredictedLatency(p99_us) if p99_us < TARGET_P99_CAP_US else None
-        )
-        self.bandwidth_mib_s = max(0.0, bandwidth_mib_s)
 
 
 @dataclass(frozen=True)
@@ -119,7 +104,9 @@ class SurrogatePrefilter:
 
         Returns ``(predicted_total, predictions)`` where predictions
         maps each cgroup to its ``{p99_us, bandwidth_mib_s, util}``
-        means plus ``p99_std_us`` spread.
+        means plus ``p99_std_us`` spread. A p99 predicted at
+        :data:`~repro.surrogate.features.TARGET_P99_CAP_US` or above is
+        scored as starved.
         """
         import numpy as np
 
@@ -127,22 +114,18 @@ class SurrogatePrefilter:
         rows = np.asarray([featurize(scenario, cgroup) for cgroup in cgroups])
         means, stds = self.model.predict(rows)
         predictions: dict[str, dict] = {}
-        shims: dict[str, _PredictedStats] = {}
+        deliveries: dict[str, tuple[float | None, float]] = {}
         aggregate = 0.0
         for i, cgroup in enumerate(cgroups):
             by_target = dict(zip(self.model.target_names, means[i].tolist()))
             by_target["p99_std_us"] = float(stds[i][0])
             predictions[cgroup] = by_target
-            p99 = min(TARGET_P99_CAP_US, max(0.0, by_target["p99_us"]))
+            p99 = max(0.0, by_target["p99_us"])
             bandwidth = max(0.0, by_target["bandwidth_mib_s"])
-            shims[cgroup] = _PredictedStats(p99, bandwidth)
+            deliveries[cgroup] = (p99 if p99 < TARGET_P99_CAP_US else None, bandwidth)
             aggregate += bandwidth
-        score = score_cgroup_stats(
-            self.slo,
-            shims,
-            device_scale=1.0,
-            aggregate_bandwidth_mib_s=aggregate,
-            ssd=self.ssd,
+        score = score_deliveries(
+            self.slo, deliveries, aggregate_bandwidth_mib_s=aggregate, ssd=self.ssd
         )
         return score.total, predictions
 
@@ -178,11 +161,11 @@ class SurrogatePrefilter:
 
     def observe(self, candidate: RankedCandidate, evaluation: Evaluation) -> None:
         """Log one verified candidate's surrogate-vs-simulator error."""
-        measured_p99 = TARGET_P99_CAP_US
+        measured_p99 = None
         primary = self._primary_p99_group()
         for term in evaluation.score.terms:
             if term.kind == "p99" and term.cgroup == primary:
-                measured_p99 = min(TARGET_P99_CAP_US, term.measured)
+                measured_p99 = term.measured
                 break
         self.verified.append(
             VerifiedRecord(
@@ -190,7 +173,7 @@ class SurrogatePrefilter:
                 predicted_total=candidate.predicted_total,
                 measured_total=evaluation.score.total,
                 predicted_p99_us=candidate.predicted_p99_us,
-                measured_p99_us=measured_p99,
+                measured_p99_us=target_p99_us(measured_p99),
             )
         )
 

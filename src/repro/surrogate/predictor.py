@@ -21,6 +21,7 @@ from repro.fleet.interference import (
     PairEffect,
     STARVED_P99_US,
     TenantMeasure,
+    pair_effect,
     pair_scenario,
 )
 from repro.fleet.spec import FleetSpec, TenantSpec
@@ -51,9 +52,9 @@ class SurrogatePairPredictor:
 
         Renders the same scenario :func:`~repro.fleet.interference.
         pair_scenario` would measure, predicts each tenant's co-located
-        delivery, and ratios it against the measured solo baseline with
-        the measured path's exact clamps (``p99_ratio >= 1``,
-        ``bandwidth_retention`` in ``(0, 1]``).
+        delivery, and ratios it against the measured solo baseline
+        through :func:`~repro.fleet.interference.pair_effect`, the
+        measured path's clamps.
         """
         import numpy as np
 
@@ -68,22 +69,13 @@ class SurrogatePairPredictor:
             (second, first, means[1]),
         ):
             by_target = dict(zip(self.model.target_names, prediction.tolist()))
-            shared_p99 = min(STARVED_P99_US, max(0.0, by_target["p99_us"]))
-            shared_bandwidth = max(0.0, by_target["bandwidth_mib_s"])
-            base = solo[tenant.name]
-            ratio = max(1.0, shared_p99 / base.p99_us) if base.p99_us > 0 else 1.0
-            if base.bandwidth_mib_s > 0:
-                retention = shared_bandwidth / base.bandwidth_mib_s
-                retention = max(1e-6, min(1.0, retention))
-            else:
-                retention = 1.0
+            shared = TenantMeasure(
+                p99_us=min(STARVED_P99_US, max(0.0, by_target["p99_us"])),
+                bandwidth_mib_s=max(0.0, by_target["bandwidth_mib_s"]),
+            )
             effects.append(
-                PairEffect(
-                    tenant=tenant.name,
-                    partner=partner.name,
-                    p99_ratio=ratio,
-                    bandwidth_retention=retention,
-                    predicted=True,
+                pair_effect(
+                    tenant.name, partner.name, solo[tenant.name], shared, predicted=True
                 )
             )
         self.predicted_pairs += 1

@@ -342,9 +342,10 @@ def _tune_prepare(args, settings):
 
 def _tune_artifacts(args, settings, report) -> None:
     if args.trace_out:
-        from repro.tune.advisor import write_decision_trace
+        from repro.obs.export import write_records_jsonl
+        from repro.tune.advisor import decision_trace_records
 
-        write_decision_trace(report, args.trace_out)
+        write_records_jsonl(decision_trace_records(report), args.trace_out)
         print(f"wrote decision trace: {args.trace_out}")
 
 
@@ -400,9 +401,9 @@ def _ctl_artifacts(args, settings, table) -> None:
         online = replace(online, prof=ProfConfig())
     result = run_scenario(online)
     if args.trace_out:
-        from repro.ctl import write_ctl_trace
+        from repro.obs.export import write_records_jsonl
 
-        count = write_ctl_trace(result.ctl_trace, args.trace_out)
+        count = write_records_jsonl(result.ctl_trace, args.trace_out)
         print(
             f"wrote decision trace ({count} records, "
             f"{args.cell} online): {args.trace_out}"

@@ -15,7 +15,6 @@ from repro.tune.advisor import (
     KnobAdvice,
     advise,
     decision_trace_records,
-    write_decision_trace,
 )
 from repro.tune.evaluator import Evaluation, TuneEvaluator
 from repro.tune.search import (
@@ -41,7 +40,6 @@ __all__ = [
     "KnobAdvice",
     "advise",
     "decision_trace_records",
-    "write_decision_trace",
     "Evaluation",
     "TuneEvaluator",
     "STRATEGIES",

@@ -16,7 +16,6 @@ cost the others".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.core.report import render_table
@@ -260,6 +259,7 @@ def decision_trace_records(report: AdvisorReport) -> list[dict]:
     One ``advice`` record per knob followed by one ``evaluation`` record
     per candidate the search tried, in evaluation order -- enough to
     replay why the advisor picked what it picked.
+    :func:`~repro.obs.export.write_records_jsonl` writes them as JSONL.
     """
     records: list[dict] = [
         {"type": "slo", "spec": report.slo, "budget": report.budget}
@@ -287,10 +287,3 @@ def decision_trace_records(report: AdvisorReport) -> list[dict]:
                 }
             )
     return records
-
-
-def write_decision_trace(report: AdvisorReport, path: str) -> None:
-    """Write the decision trace as JSONL (obs export convention)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in decision_trace_records(report):
-            handle.write(json.dumps(record, sort_keys=True) + "\n")

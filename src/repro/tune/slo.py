@@ -10,9 +10,11 @@ contract and :func:`score_summary` turns one
 :mod:`repro.tune.search` minimize.
 
 Units are always *full-device-speed* microseconds and MiB/s: scenario
-summaries carry time-dilated numbers (see ``SsdModel.scaled``), and the
-scorer converts them back using ``summary.device_scale``, so one SLO
-spec is valid at every effort level (``--mini`` through full scale).
+summaries carry time-dilated numbers (see ``SsdModel.scaled``), and
+:func:`full_speed_delivery` converts them back using
+``summary.device_scale``, so one SLO spec is valid at every effort level
+(``--mini`` through full scale). Fleet, surrogate, D3 and D8 convert and
+score through this module too (:func:`score_deliveries`).
 
 Scoring model (lower is better, ``0.0`` means every term is met):
 
@@ -262,16 +264,34 @@ class SloScore:
         }
 
 
-def default_utilization_reference_mib_s(ssd: SsdModel) -> float:
+def utilization_reference_mib_s(ssd: SsdModel) -> float:
     """The utilization term's denominator: 4 KiB random-read saturation.
 
     Derived through :func:`~repro.ssd.model.describe_model_dict` -- the
     same document ``isol-bench describe-device --json`` prints and
     :mod:`repro.tune.space` derives its bounds from, so the CLI, the
-    parameter spaces and the scorer agree on the device's capacity.
+    parameter spaces, the scorer and the surrogate's ``util`` target
+    agree on the device's capacity.
     """
     doc = describe_model_dict(ssd)
     return doc["cases"]["rand-read-4k"]["bandwidth_bps"] / (1024.0 * 1024.0)
+
+
+def full_speed_delivery(stats, device_scale: float) -> tuple[float | None, float]:
+    """One group's dilated window stats as full-speed ``(p99_us, bandwidth_mib_s)``.
+
+    ``stats`` is an :class:`~repro.metrics.collector.AppWindowStats`
+    (None when the group completed nothing) measured on a device slowed
+    down by ``device_scale``: p99 divides by it, bandwidth multiplies by
+    it. The p99 is None when the group has no latency sample (starved);
+    each consumer decides what a starved group reads as.
+    """
+    if stats is None:
+        return None, 0.0
+    bandwidth = stats.bandwidth_mib_s * device_scale
+    if stats.latency is None:
+        return None, bandwidth
+    return stats.latency.p99_us / device_scale, bandwidth
 
 
 def _capped(violation: float) -> float:
@@ -279,54 +299,38 @@ def _capped(violation: float) -> float:
     return max(0.0, min(VIOLATION_CAP, violation))
 
 
-def score_cgroup_stats(
+def score_deliveries(
     spec: SloSpec,
-    groups: dict,
-    device_scale: float,
+    deliveries: dict,
     aggregate_bandwidth_mib_s: float | None = None,
     ssd: SsdModel | None = None,
 ) -> SloScore:
-    """Score a set of per-cgroup window stats against an SLO spec.
+    """Score full-speed deliveries against an SLO spec.
 
-    The shared core behind :func:`score_summary` (whole-run scoring for
-    the tuner) and the :mod:`repro.ctl` control plane (windowed live
-    scoring mid-run): ``groups`` maps cgroup paths to
-    :class:`~repro.metrics.collector.AppWindowStats`-shaped objects in
-    *dilated* units, which this function converts back to full device
-    speed using ``device_scale``. ``aggregate_bandwidth_mib_s`` is the
-    full-speed all-group bandwidth for the utilization term (required
-    when ``spec.utilization_floor`` is set); ``ssd`` is the unscaled
-    device model used to derive the utilization reference when the spec
-    does not pin one.
+    ``deliveries`` maps cgroup paths to full-speed ``(p99_us,
+    bandwidth_mib_s)`` pairs, measured (:func:`full_speed_delivery`) or
+    predicted; a group that is missing, or whose p99 is None, is
+    starved: its p99 measures ``inf`` and scores the cap.
+    ``aggregate_bandwidth_mib_s`` is the full-speed all-group bandwidth
+    for the utilization term (required when ``spec.utilization_floor``
+    is set); ``ssd`` is the unscaled device model used to derive the
+    utilization reference when the spec does not pin one.
     """
-    scale = device_scale
     terms: list[SloTerm] = []
 
     for group in spec.groups:
-        stats = groups.get(group.cgroup)
-        if group.p99_latency_us is not None:
-            if stats is None or stats.latency is None:
-                measured = float("inf")
-                violation = VIOLATION_CAP
+        p99, bandwidth = deliveries.get(group.cgroup, (None, 0.0))
+        ceiling, floor = group.p99_latency_us, group.min_bandwidth_mib_s
+        if ceiling is not None:
+            if p99 is None:
+                measured, violation = float("inf"), VIOLATION_CAP
             else:
-                measured = stats.latency.p99_us / scale
-                violation = _capped(measured / group.p99_latency_us - 1.0)
+                measured, violation = p99, _capped(p99 / ceiling - 1.0)
+            terms.append(SloTerm("p99", group.cgroup, ceiling, measured, violation))
+        if floor is not None:
+            violation = _capped((floor - bandwidth) / floor)
             terms.append(
-                SloTerm("p99", group.cgroup, group.p99_latency_us, measured, violation)
-            )
-        if group.min_bandwidth_mib_s is not None:
-            measured = stats.bandwidth_mib_s * scale if stats is not None else 0.0
-            violation = _capped(
-                (group.min_bandwidth_mib_s - measured) / group.min_bandwidth_mib_s
-            )
-            terms.append(
-                SloTerm(
-                    "bandwidth",
-                    group.cgroup,
-                    group.min_bandwidth_mib_s,
-                    measured,
-                    violation,
-                )
+                SloTerm("bandwidth", group.cgroup, floor, bandwidth, violation)
             )
 
     if spec.utilization_floor is not None:
@@ -337,7 +341,7 @@ def score_cgroup_stats(
                     "utilization_floor needs either an explicit "
                     "utilization_reference_mib_s or the scenario's SsdModel"
                 )
-            reference = default_utilization_reference_mib_s(ssd)
+            reference = utilization_reference_mib_s(ssd)
         if aggregate_bandwidth_mib_s is None:
             raise ValueError(
                 "utilization_floor needs the aggregate full-speed bandwidth"
@@ -353,6 +357,34 @@ def score_cgroup_stats(
     return SloScore(
         terms=tuple(terms),
         weights=(spec.latency_weight, spec.bandwidth_weight, spec.utilization_weight),
+    )
+
+
+def score_cgroup_stats(
+    spec: SloSpec,
+    groups: dict,
+    device_scale: float,
+    aggregate_bandwidth_mib_s: float | None = None,
+    ssd: SsdModel | None = None,
+) -> SloScore:
+    """Score a set of per-cgroup window stats against an SLO spec.
+
+    The core behind :func:`score_summary` (whole-run scoring for the
+    tuner) and the :mod:`repro.ctl` control plane (windowed live scoring
+    mid-run): ``groups`` maps cgroup paths to
+    :class:`~repro.metrics.collector.AppWindowStats` in *dilated* units,
+    which :func:`full_speed_delivery` converts before
+    :func:`score_deliveries` scores them; the other arguments are
+    :func:`score_deliveries`'s.
+    """
+    return score_deliveries(
+        spec,
+        {
+            group.cgroup: full_speed_delivery(groups.get(group.cgroup), device_scale)
+            for group in spec.groups
+        },
+        aggregate_bandwidth_mib_s=aggregate_bandwidth_mib_s,
+        ssd=ssd,
     )
 
 

@@ -197,7 +197,8 @@ def _tune_recommendation_beats_the_default(report, tmp_path) -> None:
 
 
 def _tune_decision_trace_replays_the_choice(report, tmp_path) -> None:
-    from repro.tune.advisor import decision_trace_records, write_decision_trace
+    from repro.obs.export import write_records_jsonl
+    from repro.tune.advisor import decision_trace_records
 
     records = decision_trace_records(report)
     assert records[0]["type"] == "slo"
@@ -206,7 +207,7 @@ def _tune_decision_trace_replays_the_choice(report, tmp_path) -> None:
     evaluations = [r for r in records if r["type"] == "evaluation"]
     assert len(evaluations) == sum(len(row.evaluations) for row in report.rows)
     path = tmp_path / "trace.jsonl"
-    write_decision_trace(report, str(path))
+    assert write_records_jsonl(records, str(path)) == len(records)
     lines = path.read_text().strip().splitlines()
     assert [json.loads(line) for line in lines] == records
 

@@ -9,7 +9,10 @@ instead of fitting on noise.
 """
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -46,6 +49,30 @@ def pair():
         device_scale=16.0,
     )
     return scenario, run_scenario_summary(scenario)
+
+
+#: Loads one cache twice in a child process: first with a single free
+#: descriptor under a soft ``RLIMIT_NOFILE`` of 64 (the entry's ``open``
+#: takes it, so ``mmap``'s duplicate fails), then with the descriptors
+#: released. Prints both ``CorpusStats`` lines.
+_SHORT_OF_DESCRIPTORS = r"""
+import os, resource, sys
+from repro.surrogate.corpus import load_corpus
+
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (min(64, soft), hard))
+held = []
+try:
+    while True:
+        held.append(os.open(os.devnull, os.O_RDONLY))
+except OSError:
+    os.close(held.pop())
+short = load_corpus(sys.argv[1]).stats
+for fd in held:
+    os.close(fd)
+print(short)
+print(load_corpus(sys.argv[1]).stats)
+"""
 
 
 def seed_cache(tmp_path, pair, n: int = 3) -> ResultCache:
@@ -133,6 +160,26 @@ class TestDefensiveSkips:
         (cache.entries()[0].parent / ("0" * 63 + "c.entry")).write_bytes(b"xx")
         text = str(load_corpus(cache.root).stats)
         assert "corrupt=1" in text
+        assert "unreadable" not in text  # shown only when nonzero
+
+    def test_running_out_of_descriptors_is_not_corruption(self, tmp_path, pair):
+        cache = seed_cache(tmp_path, pair, n=1)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHORT_OF_DESCRIPTORS, str(cache.root)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        short, released = proc.stdout.strip().splitlines()
+        assert short == (
+            "0/1 entries loaded, skipped 1 (corrupt=0 schema=0 no-scenario=0 "
+            "unfeaturizable=0 unreadable=1)"
+        )
+        assert released == "1/1 entries loaded"
+        assert cache.entries(), "an unreadable entry is never removed"
 
 
 class TestSplitsAndPairs:

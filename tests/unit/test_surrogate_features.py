@@ -19,9 +19,9 @@ from repro.surrogate.features import (
     featurize,
     featurize_scenario,
     scenario_cgroups,
-    targets_from_summary,
-    utilization_reference_mib_s,
+    targets_from_stats,
 )
+from repro.tune.slo import utilization_reference_mib_s
 from repro.workloads.spec import JobSpec
 
 
@@ -45,17 +45,6 @@ class FakeStats:
     def __init__(self, p99_us, bandwidth_mib_s):
         self.latency = FakeLatency(p99_us) if p99_us is not None else None
         self.bandwidth_mib_s = bandwidth_mib_s
-
-
-class FakeSummary:
-    """Duck-typed ScenarioSummary: just cgroup_stats + device_scale."""
-
-    def __init__(self, stats, device_scale):
-        self._stats = stats
-        self.device_scale = device_scale
-
-    def cgroup_stats(self):
-        return self._stats
 
 
 class TestFeatureSchema:
@@ -91,36 +80,26 @@ class TestFeatureSchema:
 
 class TestTargets:
     def test_full_speed_units(self):
-        summary = FakeSummary({"/t/prio": FakeStats(800.0, 10.0)}, device_scale=8.0)
-        p99, bandwidth, util = targets_from_summary(summary, "/t/prio", 400.0)
+        p99, bandwidth, util = targets_from_stats(FakeStats(800.0, 10.0), 8.0, 400.0)
         assert p99 == pytest.approx(100.0)  # /= scale
         assert bandwidth == pytest.approx(80.0)  # *= scale
         assert util == pytest.approx(0.2)
 
     def test_starved_group_trains_at_the_cap(self):
-        summary = FakeSummary({"/t/be": FakeStats(None, 0.0)}, device_scale=8.0)
-        p99, bandwidth, _ = targets_from_summary(summary, "/t/be", 400.0)
+        p99, bandwidth, _ = targets_from_stats(FakeStats(None, 0.0), 8.0, 400.0)
         assert p99 == TARGET_P99_CAP_US
         assert bandwidth == 0.0
 
     def test_missing_group_trains_at_the_cap(self):
-        summary = FakeSummary({}, device_scale=1.0)
-        assert targets_from_summary(summary, "/t/gone", 400.0) == (
-            TARGET_P99_CAP_US,
-            0.0,
-            0.0,
-        )
+        assert targets_from_stats(None, 1.0, 400.0) == (TARGET_P99_CAP_US, 0.0, 0.0)
 
     def test_measured_p99_clamps_to_the_cap(self):
-        summary = FakeSummary(
-            {"/t/prio": FakeStats(10.0 * TARGET_P99_CAP_US, 1.0)}, device_scale=1.0
-        )
-        p99, _, _ = targets_from_summary(summary, "/t/prio", None)
+        stats = FakeStats(10.0 * TARGET_P99_CAP_US, 1.0)
+        p99, _, _ = targets_from_stats(stats, 1.0, None)
         assert p99 == TARGET_P99_CAP_US
 
     def test_no_reference_means_zero_util(self):
-        summary = FakeSummary({"/t/prio": FakeStats(100.0, 10.0)}, device_scale=1.0)
-        assert targets_from_summary(summary, "/t/prio", None)[2] == 0.0
+        assert targets_from_stats(FakeStats(100.0, 10.0), 1.0, None)[2] == 0.0
 
     def test_utilization_reference_positive(self):
-        assert utilization_reference_mib_s(make_scenario()) > 0.0
+        assert utilization_reference_mib_s(make_scenario().ssd_model) > 0.0

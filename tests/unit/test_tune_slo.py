@@ -12,9 +12,9 @@ from repro.tune.slo import (
     VIOLATION_CAP,
     GroupSlo,
     SloSpec,
-    default_utilization_reference_mib_s,
     parse_slo,
     score_summary,
+    utilization_reference_mib_s,
 )
 
 
@@ -150,7 +150,7 @@ class TestScoring:
         expected = (
             summary.equivalent_bandwidth_gib_s
             * 1024.0
-            / default_utilization_reference_mib_s(ssd)
+            / utilization_reference_mib_s(ssd)
         )
         assert util_term.measured == pytest.approx(expected)
 
