@@ -32,14 +32,17 @@ class AppWindowStats:
 
     @property
     def bandwidth_mib_s(self) -> float:
+        """Bytes per second over the window, in MiB/s (0.0 for an empty window)."""
         return self.bytes / MIB / (self.window_us / 1e6) if self.window_us > 0 else 0.0
 
     @property
     def bandwidth_gib_s(self) -> float:
+        """Bytes per second over the window, in GiB/s (0.0 for an empty window)."""
         return self.bytes / GIB / (self.window_us / 1e6) if self.window_us > 0 else 0.0
 
     @property
     def iops(self) -> float:
+        """Completions per second over the window (0.0 for an empty window)."""
         return self.ios / (self.window_us / 1e6) if self.window_us > 0 else 0.0
 
 
@@ -155,11 +158,13 @@ class MetricsCollector:
         self.logs: dict[str, CompletionLog] = {}
 
     def register_app(self, app_name: str, cgroup_path: str) -> None:
+        """Open an app's completion log; an app registers once."""
         if app_name in self.logs:
             raise ValueError(f"app {app_name!r} registered twice")
         self.logs[app_name] = CompletionLog(app_name, cgroup_path)
 
     def on_complete(self, req: IoRequest) -> None:
+        """Append one completed request to its app's log."""
         log = self.logs[req.app_name]
         log.times.append(req.complete_time)
         log.latencies.append(req.complete_time - req.submit_time)  # req.latency_us

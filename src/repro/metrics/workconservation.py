@@ -45,6 +45,7 @@ class WorkConservationProbe:
         self.sim.schedule(self.period_us, self._tick)
 
     def stop(self) -> None:
+        """Stop sampling; the next scheduled tick ends the chain."""
         self._running = False
 
     def reset(self) -> None:
@@ -53,6 +54,7 @@ class WorkConservationProbe:
         self.violations = 0
 
     def _tick(self) -> None:
+        """Take one sample and schedule the next while running."""
         if not self._running:
             return
         self.samples += 1

@@ -26,6 +26,7 @@ only the most promising top-k:
 budget-for-budget tune comparisons.
 """
 
+from repro.metrics.agreement import mean_absolute_error, spearman
 from repro.surrogate.corpus import (
     MIN_CORPUS_ROWS,
     Corpus,
@@ -40,6 +41,7 @@ from repro.surrogate.features import (
     TARGET_NAMES,
     feature_names,
     featurize,
+    featurize_rows,
     featurize_scenario,
     scenario_cgroups,
     targets_from_stats,
@@ -57,8 +59,6 @@ from repro.surrogate.model import (
     SurrogateModel,
     evaluate_model,
     fit_surrogate,
-    mean_absolute_error,
-    spearman,
 )
 from repro.surrogate.predictor import SurrogatePairPredictor
 
@@ -74,6 +74,7 @@ __all__ = [
     "TARGET_NAMES",
     "feature_names",
     "featurize",
+    "featurize_rows",
     "featurize_scenario",
     "scenario_cgroups",
     "targets_from_stats",

@@ -34,7 +34,7 @@ from repro.surrogate.features import (
     FEATURE_SCHEMA_VERSION,
     TARGET_NAMES,
     feature_names,
-    featurize,
+    featurize_rows,
     scenario_cgroups,
     targets_from_stats,
 )
@@ -165,9 +165,8 @@ class Corpus:
         """Append one run's rows (one per cgroup); returns rows added."""
         reference = utilization_reference_mib_s(scenario.ssd_model)
         groups = summary.cgroup_stats()
-        added = 0
-        for cgroup in scenario_cgroups(scenario):
-            features = tuple(featurize(scenario, cgroup))
+        cgroups = scenario_cgroups(scenario)
+        for cgroup, features in zip(cgroups, featurize_rows(scenario, cgroups)):
             targets = targets_from_stats(
                 groups.get(cgroup), summary.device_scale, reference
             )
@@ -175,12 +174,11 @@ class Corpus:
                 CorpusRow(
                     scenario_name=scenario.name,
                     cgroup=cgroup,
-                    features=features,
+                    features=tuple(features),
                     targets=targets,
                 )
             )
-            added += 1
-        return added
+        return len(cgroups)
 
 
 def read_entry(path: Path) -> tuple[str, Scenario | None, ScenarioSummary | None]:

@@ -156,6 +156,19 @@ def feature_names() -> tuple[str, ...]:
     )
 
 
+#: The cells every row of one scenario shares (all but the group block).
+_SHARED_NAMES = feature_names()[: -len(_GROUP_NAMES)]
+
+#: A group's knob-coupling cells when the knob does not name the group.
+_GROUP_KNOB_DEFAULTS = {
+    "g_iomax_bps_frac": 1.0,
+    "g_iomax_iops_frac": 1.0,
+    "g_iolat_target_norm": 0.0,
+    "g_weight_log_rel": 0.0,
+    "g_mq_class": 0.0,
+}
+
+
 def _finite(value: float, default: float = 0.0) -> float:
     """Coerce one cell to a finite, capped float."""
     try:
@@ -359,18 +372,17 @@ def _knob_setting_cells(
     return cells, per_group
 
 
-def featurize(scenario: Scenario, cgroup: str) -> list[float]:
-    """The feature row for one ``(scenario, cgroup)`` pair.
+def featurize_rows(scenario: Scenario, cgroups) -> list[list[float]]:
+    """The feature rows of ``cgroups`` in one scenario, in one pass.
 
-    Total over valid scenarios; every cell finite; stable under any
-    reordering of ``scenario.apps``. ``cgroup`` selects which group the
-    per-group block describes (its competitors are aggregated into the
-    ``o_*`` cells).
+    The device references and the global, knob and fault cells are the
+    same in every row of a scenario, so they are computed once; each
+    cgroup then adds only its own block (its competitors are aggregated
+    into the ``o_*`` cells). Total over valid scenarios; every cell
+    finite; stable under any reordering of ``scenario.apps``.
     """
     refs = _DeviceRefs(scenario)
     specs = list(scenario.apps)
-    group_specs = [spec for spec in specs if spec.cgroup_path == cgroup]
-    other_specs = [spec for spec in specs if spec.cgroup_path != cgroup]
     duration_us = scenario.duration_us
 
     def qd(spec) -> float:
@@ -390,7 +402,6 @@ def featurize(scenario: Scenario, cgroup: str) -> list[float]:
         return min(1.0, spec.rate_limit_bps * refs.scale / refs.read_bps)
 
     total_qd = sum(qd(spec) for spec in specs)
-    group_qd = sum(qd(spec) for spec in group_specs)
 
     cells: dict[str, float] = {
         "n_groups": float(len({spec.cgroup_path for spec in specs})),
@@ -427,18 +438,13 @@ def featurize(scenario: Scenario, cgroup: str) -> list[float]:
     for kind in FAULT_KINDS:
         cells[f"fault_is_{kind}"] = 1.0 if kind == fault_kind else 0.0
 
-    group_defaults = {
-        "g_iomax_bps_frac": 1.0,
-        "g_iomax_iops_frac": 1.0,
-        "g_iolat_target_norm": 0.0,
-        "g_weight_log_rel": 0.0,
-        "g_mq_class": 0.0,
-    }
-    group_knob = dict(group_defaults)
-    group_knob.update(per_group_settings.get(cgroup, {}))
-
-    cells.update(
-        {
+    shared = [_finite(cells[name]) for name in _SHARED_NAMES]
+    rows = []
+    for cgroup in cgroups:
+        group_specs = [spec for spec in specs if spec.cgroup_path == cgroup]
+        other_specs = [spec for spec in specs if spec.cgroup_path != cgroup]
+        group_qd = sum(qd(spec) for spec in group_specs)
+        group = {
             "g_n_apps": float(len(group_specs)),
             "g_qd_sum": group_qd,
             "g_qd_share": group_qd / total_qd if total_qd > 0 else 0.0,
@@ -470,16 +476,27 @@ def featurize(scenario: Scenario, cgroup: str) -> list[float]:
             "o_max_log2_size": max(
                 [_log2_size(s.size) for s in other_specs], default=0.0
             ),
+            **_GROUP_KNOB_DEFAULTS,
         }
-    )
-    cells.update(group_knob)
+        group.update(per_group_settings.get(cgroup, {}))
+        rows.append(shared + [_finite(group[name]) for name in _GROUP_NAMES])
+    return rows
 
-    return [_finite(cells[name]) for name in feature_names()]
+
+def featurize(scenario: Scenario, cgroup: str) -> list[float]:
+    """The feature row for one ``(scenario, cgroup)`` pair.
+
+    ``cgroup`` selects which group the per-group block describes; see
+    :func:`featurize_rows`, which featurizes several groups of one
+    scenario in one pass.
+    """
+    return featurize_rows(scenario, (cgroup,))[0]
 
 
 def featurize_scenario(scenario: Scenario) -> dict[str, list[float]]:
     """Feature rows for every cgroup in the scenario, sorted by path."""
-    return {cgroup: featurize(scenario, cgroup) for cgroup in scenario_cgroups(scenario)}
+    cgroups = scenario_cgroups(scenario)
+    return dict(zip(cgroups, featurize_rows(scenario, cgroups)))
 
 
 def target_p99_us(p99_us: float | None) -> float:

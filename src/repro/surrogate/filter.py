@@ -23,19 +23,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ssd.model import SsdModel
+from repro.metrics.agreement import mean_absolute_error, spearman
 from repro.surrogate.features import (
     TARGET_P99_CAP_US,
-    featurize,
+    featurize_rows,
     scenario_cgroups,
     target_p99_us,
 )
-from repro.surrogate.model import SurrogateModel, mean_absolute_error, spearman
+from repro.surrogate.model import SurrogateModel
 from repro.tune.evaluator import Evaluation
 from repro.tune.slo import SloSpec, score_deliveries
 
 #: Default width multiplier: candidates scored per simulator run the
 #: verification budget buys (the "search 100x wider" dial).
 DEFAULT_POOL_FACTOR = 64
+
+#: Candidates :meth:`SurrogatePrefilter.rank` scores per
+#: :meth:`~repro.surrogate.model.SurrogateModel.predict` call: enough
+#: rows to spread numpy's per-call cost, few enough that a chunk's
+#: arrays stay small (a whole 384-candidate pool in one call raised the
+#: ``d9-warm`` benchmark's peak memory by 6 MiB, for no speed).
+RANK_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -108,26 +116,49 @@ class SurrogatePrefilter:
         :data:`~repro.surrogate.features.TARGET_P99_CAP_US` or above is
         scored as starved.
         """
+        return self._predict_scenarios([scenario])[0]
+
+    def _predict_scenarios(self, scenarios) -> list[tuple[float, dict]]:
+        """:meth:`predict_scenario` for several scenarios, one predict call.
+
+        Each scenario's rows are one block of the call, so every
+        scenario gets the same bits a call of its own would give.
+        """
         import numpy as np
 
-        cgroups = scenario_cgroups(scenario)
-        rows = np.asarray([featurize(scenario, cgroup) for cgroup in cgroups])
-        means, stds = self.model.predict(rows)
-        predictions: dict[str, dict] = {}
-        deliveries: dict[str, tuple[float | None, float]] = {}
-        aggregate = 0.0
-        for i, cgroup in enumerate(cgroups):
-            by_target = dict(zip(self.model.target_names, means[i].tolist()))
-            by_target["p99_std_us"] = float(stds[i][0])
-            predictions[cgroup] = by_target
-            p99 = max(0.0, by_target["p99_us"])
-            bandwidth = max(0.0, by_target["bandwidth_mib_s"])
-            deliveries[cgroup] = (p99 if p99 < TARGET_P99_CAP_US else None, bandwidth)
-            aggregate += bandwidth
-        score = score_deliveries(
-            self.slo, deliveries, aggregate_bandwidth_mib_s=aggregate, ssd=self.ssd
+        groups = [scenario_cgroups(scenario) for scenario in scenarios]
+        rows = [
+            row
+            for scenario, cgroups in zip(scenarios, groups)
+            for row in featurize_rows(scenario, cgroups)
+        ]
+        means, stds = self.model.predict(
+            np.asarray(rows), blocks=[len(cgroups) for cgroups in groups]
         )
-        return score.total, predictions
+        means, p99_stds = means.tolist(), stds[:, 0].tolist()
+        results = []
+        row = 0
+        for cgroups in groups:
+            predictions: dict[str, dict] = {}
+            deliveries: dict[str, tuple[float | None, float]] = {}
+            aggregate = 0.0
+            for cgroup in cgroups:
+                by_target = dict(zip(self.model.target_names, means[row]))
+                by_target["p99_std_us"] = p99_stds[row]
+                predictions[cgroup] = by_target
+                p99 = max(0.0, by_target["p99_us"])
+                bandwidth = max(0.0, by_target["bandwidth_mib_s"])
+                deliveries[cgroup] = (
+                    p99 if p99 < TARGET_P99_CAP_US else None,
+                    bandwidth,
+                )
+                aggregate += bandwidth
+                row += 1
+            score = score_deliveries(
+                self.slo, deliveries, aggregate_bandwidth_mib_s=aggregate, ssd=self.ssd
+            )
+            results.append((score.total, predictions))
+        return results
 
     def rank(self, evaluator, candidates: list[dict]) -> list[RankedCandidate]:
         """Rank a candidate pool by predicted SLO violation, best first.
@@ -135,27 +166,33 @@ class SurrogatePrefilter:
         ``evaluator`` renders each assignment into the exact scenario
         the simulator would run (same workload, seed, fidelity), so the
         surrogate scores precisely what verification would measure.
+        The pool is scored :data:`RANK_CHUNK` candidates per predict
+        call, with the bits of one call per candidate.
         Deterministic: ties break on the assignment label.
         """
         primary = self._primary_p99_group()
+        starved = {"p99_us": TARGET_P99_CAP_US, "p99_std_us": 0.0}
         ranked: list[RankedCandidate] = []
-        for values in candidates:
-            normalized = evaluator.space.normalize(values)
-            label = evaluator.space.label(normalized)
-            scenario = evaluator.scenario_for(normalized, label)
-            total, predictions = self.predict_scenario(scenario)
-            primary_prediction = predictions.get(
-                primary, {"p99_us": TARGET_P99_CAP_US, "p99_std_us": 0.0}
-            )
-            ranked.append(
-                RankedCandidate(
-                    values=normalized,
-                    label=label,
-                    predicted_total=total,
-                    predicted_p99_us=primary_prediction["p99_us"],
-                    uncertainty_p99_us=primary_prediction["p99_std_us"],
+        for start in range(0, len(candidates), RANK_CHUNK):
+            chunk, scenarios = [], []
+            for values in candidates[start : start + RANK_CHUNK]:
+                normalized = evaluator.space.normalize(values)
+                label = evaluator.space.label(normalized)
+                chunk.append((normalized, label))
+                scenarios.append(evaluator.scenario_for(normalized, label))
+            for (normalized, label), (total, predictions) in zip(
+                chunk, self._predict_scenarios(scenarios)
+            ):
+                primary_prediction = predictions.get(primary, starved)
+                ranked.append(
+                    RankedCandidate(
+                        values=normalized,
+                        label=label,
+                        predicted_total=total,
+                        predicted_p99_us=primary_prediction["p99_us"],
+                        uncertainty_p99_us=primary_prediction["p99_std_us"],
+                    )
                 )
-            )
         self.scored += len(ranked)
         return sorted(ranked, key=lambda c: (c.predicted_total, c.label))
 

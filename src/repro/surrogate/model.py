@@ -29,14 +29,17 @@ bit-identical saved models -- property-pinned in
 
 Both hot loops run as a few numpy calls over whole arrays:
 
-* **Fit.** A split search scores every feature column of a node at
-  once (sorted prefix sums, the SSE of every candidate position, the
-  first maximum per column), then scans the per-column winners in
-  feature order. Each member's rows are sorted once per column, and
-  the root's candidate positions, the same in every round, are found
-  once; a deeper node narrows the sort to its own rows instead of
-  sorting again. Each round's training prediction comes from the row
-  partition the fit already built.
+* **Fit.** Each member lays out and scores splits only over the
+  columns that vary among its bootstrap rows (a constant column has no
+  candidate position; a split records its column's index in the full
+  schema). A split search scores every such column of a node at once
+  (sorted prefix sums, the SSE of every candidate position, the first
+  maximum per column), then scans the per-column winners in feature
+  order. Each member's rows are sorted once per column, and the root's
+  candidate positions, the same in every round, are found once; a
+  deeper node narrows the sort to its own rows instead of sorting
+  again. Each round's training prediction comes from the row partition
+  the fit already built.
 * **Predict.** Constructing a :class:`SurrogateModel` compiles each
   target's trees into flat node arrays (:class:`_FlatEnsemble`). The
   arrays are derived state, never serialized and rebuilt on load;
@@ -45,25 +48,28 @@ Both hot loops run as a few numpy calls over whole arrays:
   then adds each member's ``learning_rate * leaf`` terms onto its base
   in tree order.
 
-Both give the same float sequence as a per-column split search and a
-recursive per-tree walk, which ``tests/differential/`` keeps as an
-oracle.
+Both give the same float sequence as a per-column split search over
+every column and a recursive per-tree walk, which
+``tests/differential/`` keeps as an oracle.
 
-The prefilter calls :meth:`SurrogateModel.predict` once per candidate
-(2-3 rows), not once per pool: the ridge product's BLAS mat-vec rounds
-differently with the number of rows, so a batched call would change
-the last bits of the predictions.
+The prefilter scores its pool in chunks of 16 candidates, one
+:meth:`SurrogateModel.predict` call per chunk, with each candidate's
+rows (2-3) as one of the call's ``blocks``: the ridge product's BLAS
+mat-vec rounds differently with the number of rows, so it runs once
+per block, and every candidate keeps the bits of a call of its own.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.metrics.agreement import mean_absolute_error, spearman
 from repro.surrogate.features import FEATURE_SCHEMA_VERSION, TARGET_NAMES
 from repro.surrogate.features import feature_names as current_feature_names
 
@@ -212,6 +218,7 @@ def _fit_node(
     depth: int,
     config: SurrogateConfig,
     fitted: np.ndarray,
+    columns: np.ndarray,
 ) -> dict:
     """Greedy variance-reduction split; exact argmax, index tie-breaks.
 
@@ -220,7 +227,9 @@ def _fit_node(
     ancestor; an ancestor's sort is narrowed to ``rows``, which keeps
     their sorted order, so no node sorts again. Each leaf writes its
     value into ``fitted`` at its rows: the tree's training prediction,
-    without a second walk.
+    without a second walk. ``X`` holds only some feature columns;
+    ``columns`` maps each to its index in the full schema, which is
+    what a split records.
     """
     node_y = y[rows]
     mean = node_y.mean()
@@ -243,28 +252,36 @@ def _fit_node(
         return {"value": node_value}
     feature, threshold = best
     mask = X[rows, feature] <= threshold
+    below = (layout, depth + 1, config, fitted, columns)
     return {
-        "feature": feature,
+        "feature": int(columns[feature]),
         "threshold": threshold,
-        "left": _fit_node(X, y, rows[mask], layout, depth + 1, config, fitted),
-        "right": _fit_node(X, y, rows[~mask], layout, depth + 1, config, fitted),
+        "left": _fit_node(X, y, rows[mask], *below),
+        "right": _fit_node(X, y, rows[~mask], *below),
     }
 
 
 def _fit_boosted(
     X: np.ndarray, y: np.ndarray, config: SurrogateConfig
 ) -> dict:
-    """One gradient-boosted member (squared loss -> residual fitting)."""
+    """One gradient-boosted member (squared loss -> residual fitting).
+
+    Splits are searched only over the columns that vary among the
+    member's rows: a constant column has no candidate position, so
+    leaving it out changes no tree.
+    """
     base = float(y.mean()) if y.size else 0.0
     prediction = np.full(y.shape, base)
     rows = np.arange(y.size)
+    columns = np.flatnonzero((X != X[:1]).any(axis=0))
+    X = X[:, columns]
     # The root holds every row in every round: sort and lay it out once.
     root = _split_layout(X, np.argsort(X, axis=0, kind="stable"), config)
     trees: list[dict] = []
     for _ in range(config.n_rounds):
         residual = y - prediction
         fitted = np.empty(y.shape)
-        tree = _fit_node(X, residual, rows, root, 0, config, fitted)
+        tree = _fit_node(X, residual, rows, root, 0, config, fitted, columns)
         if "value" in tree and abs(tree["value"]) < 1e-12:
             break  # residuals exhausted; further rounds are no-ops
         trees.append(tree)
@@ -430,13 +447,21 @@ class SurrogateModel:
         std = np.asarray(self.scaler_std)
         return (X - mean) / std
 
-    def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
+    def predict(self, X, blocks=None) -> tuple[np.ndarray, np.ndarray]:
         """Predict ``(means, stds)`` in raw target units, shape (n, 3).
 
         The mean is the ensemble average mapped through the inverse
         target transform; the std is the quantile-style upper spread
         ``inv(mu + sigma) - inv(mu)`` -- non-negative by monotonicity of
         the transforms.
+
+        ``blocks`` (row counts that sum to n) splits the rows into
+        consecutive runs, each predicted bit for bit as a call of its
+        own would predict it. Every step works row by row except two:
+        the ridge term is a BLAS product whose rounding depends on its
+        number of rows, so it runs once per run, and numpy sums the
+        members of a lone row pairwise once there are 8 or more, so a
+        one-row run's mean and spread are taken on its own.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -446,18 +471,31 @@ class SurrogateModel:
                 f"feature width mismatch: rows have {X.shape[1]} columns, "
                 f"model expects {len(self.feature_names)}"
             )
+        spans = [(0, X.shape[0])]
+        if blocks is not None:
+            bounds = list(itertools.accumulate(blocks, initial=0))
+            if len(bounds) < 2 or bounds[-1] != X.shape[0]:
+                raise ValueError(f"blocks cover {bounds[-1]} rows, X has {X.shape[0]}")
+            spans = list(itertools.pairwise(bounds))
         Z = self._standardize(X)
         Z1 = np.hstack([Z, np.ones((Z.shape[0], 1))])
         means = np.empty((X.shape[0], len(self.targets)))
         stds = np.empty_like(means)
         for column, (spec, flat) in enumerate(zip(self.targets, self._flat)):
-            ridge = Z1 @ np.asarray(spec["ridge"])
+            weights = np.asarray(spec["ridge"])
+            ridge = np.concatenate([Z1[start:stop] @ weights for start, stop in spans])
             sums = flat.member_sums(Z)
             member_preds = np.stack(
                 [ridge + sums[:, member] for member in range(sums.shape[1])]
             )
             mu = member_preds.mean(axis=0)
             sigma = member_preds.std(axis=0)
+            if len(spans) > 1 and len(member_preds) >= 8:
+                for start, stop in spans:
+                    if stop - start == 1:
+                        alone = member_preds[:, start:stop]
+                        mu[start] = alone.mean(axis=0)[0]
+                        sigma[start] = alone.std(axis=0)[0]
             raw_mu = _inverse(spec["transform"], mu)
             raw_hi = _inverse(spec["transform"], mu + sigma)
             means[:, column] = raw_mu
@@ -582,43 +620,6 @@ def fit_surrogate(
         scaler_std=std.tolist(),
         targets=targets,
     )
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean rank), deterministic."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_values = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0
-        i = j + 1
-    return ranks
-
-
-def spearman(a, b) -> float:
-    """Spearman rank correlation; 0.0 when either side is constant."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size != b.size or a.size < 2:
-        return 0.0
-    ra, rb = _ranks(a), _ranks(b)
-    sa, sb = ra.std(), rb.std()
-    if sa < 1e-12 or sb < 1e-12:
-        return 0.0
-    return float(((ra - ra.mean()) * (rb - rb.mean())).mean() / (sa * sb))
-
-
-def mean_absolute_error(a, b) -> float:
-    """Plain MAE between two equal-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a - b).mean())
 
 
 def evaluate_model(model: SurrogateModel, X, y) -> dict:

@@ -25,7 +25,7 @@ from repro.fleet.interference import (
     pair_scenario,
 )
 from repro.fleet.spec import FleetSpec, TenantSpec
-from repro.surrogate.features import featurize
+from repro.surrogate.features import featurize_rows
 from repro.surrogate.model import SurrogateModel
 
 
@@ -59,9 +59,7 @@ class SurrogatePairPredictor:
         import numpy as np
 
         scenario = pair_scenario(self.fleet, first, second, self.settings)
-        rows = np.asarray(
-            [featurize(scenario, tenant.cgroup) for tenant in (first, second)]
-        )
+        rows = np.asarray(featurize_rows(scenario, (first.cgroup, second.cgroup)))
         means, _ = self.model.predict(rows)
         effects = []
         for tenant, partner, prediction in (

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.report import render_table
+from repro.metrics.agreement import mean_absolute_error, spearman
 from repro.tune.evaluator import Evaluation
 from repro.tune.search import SearchOutcome, search
 from repro.tune.slo import SloSpec
@@ -126,8 +127,6 @@ class AdvisorReport:
         ]
         if not records:
             return None
-        from repro.surrogate.model import mean_absolute_error, spearman
-
         predicted = [record["predicted_p99_us"] for record in records]
         measured = [record["measured_p99_us"] for record in records]
         return {

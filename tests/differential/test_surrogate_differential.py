@@ -1,15 +1,25 @@
-"""Surrogate differential suite: compiled ensembles vs a recursive oracle.
+"""Surrogate differential suite: the library vs test-local oracles.
 
 ``repro.surrogate.model`` predicts from each target's ensemble compiled
 into flat node arrays, walked level by level for all trees at once, and
-fits by scoring every feature column of a node in one pass. This module
-keeps the straightforward versions as a test-local oracle -- the
-recursive per-tree walk and the per-column split search -- and holds
-the library to them bit for bit:
+fits by scoring every varying feature column of a node in one pass.
+``SurrogatePrefilter.rank`` scores its pool in chunks, one predict call
+per chunk, from rows featurized one scenario at a time. This module
+keeps the straightforward versions as test-local oracles -- the
+recursive per-tree walk, the per-column split search over every
+column, and the one-candidate ranking loop over the seed's per-cgroup
+featurization (``feature_oracle.py``) -- and holds the library to them
+bit for bit:
 
 * ``SurrogateModel.predict`` returns the oracle's ``means`` and
-  ``stds`` under ``np.array_equal``;
-* ``fit_surrogate(...).to_json_dict()`` equals the oracle fit's.
+  ``stds`` under ``np.array_equal``, and a call split into row blocks
+  returns what one call per block returns;
+* ``fit_surrogate(...).to_json_dict()`` equals the oracle fit's, also
+  when every column is constant or a column is constant in some
+  members' bootstraps only;
+* ``rank`` returns the one-candidate loop's ``RankedCandidate`` list,
+  floats compared exactly, for pools on both sides of a chunk edge
+  over the io.max, io.latency and io.cost spaces.
 
 Models span the configuration grid (members, rounds, depth, leaf size,
 threshold count) and members that stop early: a constant target leaves
@@ -30,11 +40,27 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.d6_autotune import default_slo
+from repro.core.scenarios import BE_GROUP, PRIORITY_GROUP, robustness_specs
+from repro.ssd.presets import samsung_980pro_like
 from repro.surrogate import model as model_module
+from repro.surrogate.features import (
+    TARGET_P99_CAP_US,
+    feature_names,
+    scenario_cgroups,
+)
+from repro.surrogate.filter import RANK_CHUNK, RankedCandidate, SurrogatePrefilter
 from repro.surrogate.model import SurrogateConfig, SurrogateModel, fit_surrogate
+from repro.tune.evaluator import TuneEvaluator
+from repro.tune.search import surrogate_pool
+from repro.tune.slo import score_deliveries
+from repro.tune.space import build_space
+
+from tests.differential.feature_oracle import oracle_featurize
 
 # ----------------------------------------------------------------------
 # The oracle: the recursive tree walk and the per-column split search.
@@ -137,6 +163,47 @@ def oracle_fit(X, y, names, seed, config) -> dict:
     """``fit_surrogate`` with the oracle's boosted-member fit."""
     with mock.patch.object(model_module, "_fit_boosted", oracle_fit_boosted):
         return fit_surrogate(X, y, names, seed=seed, config=config).to_json_dict()
+
+
+def oracle_rank(prefilter: SurrogatePrefilter, evaluator, candidates):
+    """The seed's ``rank``: per-cgroup featurize, one predict per candidate."""
+    model = prefilter.model
+    primary = prefilter._primary_p99_group()
+    ranked = []
+    for values in candidates:
+        normalized = evaluator.space.normalize(values)
+        label = evaluator.space.label(normalized)
+        scenario = evaluator.scenario_for(normalized, label)
+        cgroups = scenario_cgroups(scenario)
+        means, stds = model.predict(
+            np.asarray([oracle_featurize(scenario, cgroup) for cgroup in cgroups])
+        )
+        predictions, deliveries, aggregate = {}, {}, 0.0
+        for i, cgroup in enumerate(cgroups):
+            by_target = dict(zip(model.target_names, means[i].tolist()))
+            by_target["p99_std_us"] = float(stds[i][0])
+            predictions[cgroup] = by_target
+            p99 = max(0.0, by_target["p99_us"])
+            bandwidth = max(0.0, by_target["bandwidth_mib_s"])
+            deliveries[cgroup] = (p99 if p99 < TARGET_P99_CAP_US else None, bandwidth)
+            aggregate += bandwidth
+        score = score_deliveries(
+            prefilter.slo, deliveries, aggregate_bandwidth_mib_s=aggregate,
+            ssd=prefilter.ssd,
+        )
+        primary_prediction = predictions.get(
+            primary, {"p99_us": TARGET_P99_CAP_US, "p99_std_us": 0.0}
+        )
+        ranked.append(
+            RankedCandidate(
+                values=normalized,
+                label=label,
+                predicted_total=score.total,
+                predicted_p99_us=primary_prediction["p99_us"],
+                uncertainty_p99_us=primary_prediction["p99_std_us"],
+            )
+        )
+    return sorted(ranked, key=lambda c: (c.predicted_total, c.label))
 
 
 def oracle_predict(model: SurrogateModel, X):
@@ -377,3 +444,150 @@ class TestEarlyStoppingCoverage:
         means, stds = model.predict(X[:5])
         assert means.shape == stds.shape == (5, 3)
         assert_same_predictions(model, X[:5])
+
+
+# ----------------------------------------------------------------------
+# Fits over varying columns, pooled predictions, chunked ranking
+# ----------------------------------------------------------------------
+
+
+class TestVaryingColumnsFit:
+    """A member's split search skips constant columns; the oracle scans all."""
+
+    CONFIG = SurrogateConfig(n_members=3, n_rounds=12, min_samples_leaf=1)
+    NAMES = ("a", "b", "c", "d")
+
+    def _targets(self, X):
+        rng = np.random.default_rng(4)
+        signal = 1.0 + np.abs(X).sum(axis=1)
+        noise = rng.lognormal(0.0, 0.3, size=(X.shape[0], 3))
+        return np.column_stack([400.0 * signal, 100.0 / signal, 0.5 * signal]) * noise
+
+    def test_all_constant_columns(self):
+        X = np.column_stack([np.full(24, value) for value in (3.0, -1.0, 0.0, 7.5)])
+        y = self._targets(X)
+        model = fit_surrogate(X, y, self.NAMES, seed=5, config=self.CONFIG)
+        assert model_thresholds(model) == {}
+        assert model.to_json_dict() == oracle_fit(X, y, self.NAMES, 5, self.CONFIG)
+        assert_same_predictions(model, X[:3])
+
+    def test_column_constant_in_some_bootstraps_only(self):
+        """Column 1 varies only through row 5, which some members never draw."""
+        rng = np.random.default_rng(9)
+        n, outlier = 24, 5
+        spike = np.zeros(n)
+        spike[outlier] = 1.0
+        X = np.column_stack(
+            [rng.normal(size=n), spike, np.full(n, 2.0), rng.integers(0, 3, n)]
+        )
+        y = self._targets(X)
+        y[outlier] *= 50.0  # worth a split wherever the row is drawn
+        drawn = [
+            outlier
+            in np.random.default_rng([0, column, member]).integers(0, n, n)
+            for column in range(3)
+            for member in range(self.CONFIG.n_members)
+        ]
+        assert any(drawn) and not all(drawn)
+        model = fit_surrogate(X, y, self.NAMES, seed=0, config=self.CONFIG)
+        thresholds = model_thresholds(model)
+        assert 1 in thresholds and 2 not in thresholds
+        assert model.to_json_dict() == oracle_fit(X, y, self.NAMES, 0, self.CONFIG)
+        assert_same_predictions(model, X)
+
+
+class TestBlockedPredict:
+    @given(
+        data=training_sets(),
+        members=st.sampled_from([1, 2, 6, 8, 9]),
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.integers(1, 3), min_size=1, max_size=24),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_match_one_call_per_block(self, data, members, seed, sizes):
+        """A blocked call gives each block the bits of a call of its own.
+
+        Eight or more members take the lone-row path: numpy sums a
+        one-row call's members pairwise.
+        """
+        X, y, names = data
+        config = SurrogateConfig(n_members=members, n_rounds=10, min_samples_leaf=2)
+        model = fit_surrogate(X, y, names, seed=seed, config=config)
+        rows = X[np.arange(sum(sizes)) % X.shape[0]]
+        rows = rows * np.random.default_rng(seed).uniform(0.5, 1.5, rows.shape)
+        means, stds = model.predict(rows, blocks=sizes)
+        start = 0
+        for size in sizes:
+            block_means, block_stds = model.predict(rows[start : start + size])
+            assert np.array_equal(means[start : start + size], block_means)
+            assert np.array_equal(stds[start : start + size], block_stds)
+            start += size
+
+    def test_blocks_must_cover_the_rows(self):
+        X = np.random.default_rng(0).normal(size=(8, 2))
+        y = np.abs(X[:, :1]) + np.ones((8, 3))
+        model = fit_surrogate(X, y, ("a", "b"), config=SurrogateConfig(n_rounds=2))
+        with pytest.raises(ValueError, match="blocks cover 5 rows, X has 8"):
+            model.predict(X, blocks=[2, 3])
+
+
+#: The spaces the pooled ranking is held to the one-candidate loop on.
+RANKED_KNOBS = ("io.max", "io.latency", "io.cost")
+#: Pool sizes: empty, one, either side of a chunk edge, several chunks.
+POOL_SIZES = (0, 1, RANK_CHUNK - 1, RANK_CHUNK, RANK_CHUNK + 1, 50)
+
+
+@pytest.fixture(scope="module")
+def prefilters():
+    """``prefilters(knob)``: an evaluator and a prefilter over a fitted model.
+
+    The model is fit on rows featurized from the space's own rendered
+    scenarios, with synthetic targets, so no scenario is simulated.
+    """
+    built = {}
+
+    def get(knob: str):
+        if knob not in built:
+            ssd = samsung_980pro_like()
+            space = build_space(
+                knob, ssd, device_scale=16.0,
+                priority_group=PRIORITY_GROUP, be_group=BE_GROUP,
+            )
+            evaluator = TuneEvaluator(
+                space=space,
+                slo=default_slo(),
+                apps=robustness_specs(be_queue_depth=16, n_be_apps=1),
+                ssd=ssd,
+                device_scale=16.0,
+                duration_s=0.05,
+                warmup_s=0.01,
+            )
+            X = [
+                oracle_featurize(scenario, cgroup)
+                for scenario in map(evaluator.scenario_for, surrogate_pool(space, 40, seed=1))
+                for cgroup in scenario_cgroups(scenario)
+            ]
+            X = np.asarray(X)
+            rng = np.random.default_rng(3)
+            signal = 1.0 + np.abs(X @ rng.normal(size=X.shape[1]))
+            y = np.column_stack([300.0 * signal, 2000.0 / signal, signal / 10.0])
+            y = y * rng.lognormal(0.0, 0.2, size=y.shape)
+            model = fit_surrogate(
+                X, y, feature_names(), seed=7, config=SurrogateConfig(n_rounds=20)
+            )
+            prefilter = SurrogatePrefilter(model=model, slo=default_slo(), ssd=ssd)
+            built[knob] = (evaluator, prefilter, surrogate_pool(space, max(POOL_SIZES)))
+        return built[knob]
+
+    return get
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+@pytest.mark.parametrize("knob", RANKED_KNOBS)
+def test_pooled_rank_matches_the_one_candidate_loop(knob, size, prefilters):
+    """Chunked, pooled scoring ranks exactly like one call per candidate."""
+    evaluator, prefilter, pool = prefilters(knob)
+    scored = prefilter.scored
+    ranked = prefilter.rank(evaluator, pool[:size])
+    assert ranked == oracle_rank(prefilter, evaluator, pool[:size])
+    assert len(ranked) == size and prefilter.scored == scored + size

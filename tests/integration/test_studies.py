@@ -33,8 +33,10 @@ import pytest
 from repro.core.studies import STUDIES
 from repro.exec import ExecutorStats, ResultCache, SweepExecutor, canonical_text, scenario_key
 from repro.exec.cachekey import SCHEMA_VERSION, decode_canonical
+from repro.surrogate.features import featurize_rows, scenario_cgroups
 from repro.tools.cli import main
 
+from tests.differential.feature_oracle import oracle_rows
 from tests.differential.key_oracle import oracle_text
 
 DATA_DIR = pathlib.Path(__file__).parent.parent / "data"
@@ -476,6 +478,17 @@ def test_decoder_rebuilds_every_study_scenario(name, warm_run):
         assert decoded == scenario  # dataclass equality: a tuple is not a list
         assert canonical_text(decoded) == text
         assert scenario_key(decoded) == scenario_key(scenario)
+
+
+@pytest.mark.parametrize("name", STUDIES)
+def test_one_pass_features_match_per_cgroup_rows(name, warm_run):
+    """Every submitted scenario featurizes in one pass to the seed's rows."""
+    submitted = warm_run(name).submitted
+    assert submitted
+    for scenario in submitted:
+        cgroups = scenario_cgroups(scenario)
+        rows = featurize_rows(scenario, cgroups)
+        assert dict(zip(cgroups, rows)) == oracle_rows(scenario), scenario.name
 
 
 #: SHA-256 over each mini's warm submissions' cache keys, one key and a

@@ -31,6 +31,8 @@ from repro.surrogate.model import SurrogateConfig, fit_surrogate
 from repro.tune.evaluator import TuneEvaluator
 from repro.tune.space import TUNABLE_KNOBS, build_space
 
+from tests.differential.feature_oracle import oracle_rows
+
 #: A fast fit for property examples: 2 members, 5 rounds.
 FAST_CONFIG = SurrogateConfig(n_members=2, n_rounds=5)
 
@@ -104,6 +106,19 @@ class TestFeatureTotality:
         values = _values_from_units(evaluator.space, units)
         scenario = evaluator.scenario_for(values)
         assert featurize_scenario(scenario) == featurize_scenario(scenario)
+
+    @given(knob=knob_names, units=unit_vectors)
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_rows_match_the_seed_per_cgroup_rows(self, knob, units):
+        """Featurizing a scenario in one pass gives the seed's per-cgroup rows."""
+        evaluator = _evaluator(knob)
+        scenario = evaluator.scenario_for(
+            _values_from_units(evaluator.space, units)
+        )
+        expected = oracle_rows(scenario)
+        assert featurize_scenario(scenario) == expected
+        for cgroup, row in expected.items():
+            assert featurize(scenario, cgroup) == row
 
     @given(knob=knob_names, units=unit_vectors, seed=st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)

@@ -75,7 +75,7 @@ class FixedModel:
     def __init__(self, p99_us: float, bandwidth_mib_s: float):
         self.means = [p99_us, bandwidth_mib_s, 0.0]
 
-    def predict(self, rows):
+    def predict(self, rows, blocks=None):
         n = len(rows)
         return np.tile(self.means, (n, 1)), np.zeros((n, len(TARGET_NAMES)))
 

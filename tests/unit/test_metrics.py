@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.iorequest import IoRequest, MIB, OpType, Pattern
+from repro.metrics.agreement import mean_absolute_error, spearman
 from repro.metrics.collector import CompletionLog, MetricsCollector, cgroup_stats, total_bytes
 from repro.metrics.fairness import jain_index, weighted_jain_index
 from repro.metrics.latency import cdf, percentile, summarize_latencies
@@ -268,3 +269,19 @@ class TestCompletionLogMatchesTheLoop:
             (group,) = cgroup_stats(logs, t_start, t_end).values()
             assert _fields(group) == _loop_window(live, t_start, t_end)
             assert total_bytes(logs, t_start, t_end) == group.bytes
+
+
+class TestAgreement:
+    """Rank correlation and MAE (the surrogate's fit and trust metrics)."""
+
+    def test_spearman_perfect_and_reversed(self):
+        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
+        assert spearman([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
+
+    def test_spearman_degenerate_is_zero(self):
+        assert spearman([1, 1, 1], [1, 2, 3]) == 0.0
+        assert spearman([1], [2]) == 0.0
+
+    def test_mae(self):
+        assert mean_absolute_error([1.0, 3.0], [2.0, 5.0]) == pytest.approx(1.5)
+        assert mean_absolute_error([], []) == 0.0

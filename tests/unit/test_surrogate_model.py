@@ -1,9 +1,10 @@
 """Unit tests for the numpy-only surrogate regressor.
 
 Covers the determinism and serialization contracts (identical training
-sets -> bit-identical saved models; save/load round-trips losslessly),
-the metric helpers, and the seeded uncertainty-shrinks-with-data check
-that complements the hypothesis suite.
+sets -> bit-identical saved models; save/load round-trips losslessly)
+and the seeded uncertainty-shrinks-with-data check that complements the
+hypothesis suite. The agreement statistics it reports are tested in
+``test_metrics.py``.
 """
 
 import numpy as np
@@ -15,8 +16,6 @@ from repro.surrogate.model import (
     SurrogateModel,
     evaluate_model,
     fit_surrogate,
-    mean_absolute_error,
-    spearman,
     uncertainty_mean,
 )
 
@@ -114,17 +113,3 @@ class TestUncertainty:
             uncertainty_mean(big, probe)["p99_us"]
             < uncertainty_mean(small, probe)["p99_us"]
         )
-
-
-class TestMetricHelpers:
-    def test_spearman_perfect_and_reversed(self):
-        assert spearman([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
-        assert spearman([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
-
-    def test_spearman_degenerate_is_zero(self):
-        assert spearman([1, 1, 1], [1, 2, 3]) == 0.0
-        assert spearman([1], [2]) == 0.0
-
-    def test_mae(self):
-        assert mean_absolute_error([1.0, 3.0], [2.0, 5.0]) == pytest.approx(1.5)
-        assert mean_absolute_error([], []) == 0.0
